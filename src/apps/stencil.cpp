@@ -11,6 +11,53 @@
 
 namespace deep::apps {
 
+namespace {
+
+/// One in-place 5-point Jacobi sweep over the interior rows 1..rows of the
+/// row-major (rows + 2) x nx `grid`; halo rows 0 and rows+1 and the edge
+/// columns are read, never written.  `scratch` holds two nx-cell rows: new
+/// row r goes into scratch row r % 2 and is written back to the grid one
+/// row late, once new row r+1 has read old row r.  Each cell keeps the
+/// association 0.25 * (((N + S) + W) + E), so the grid is bit-identical to
+/// a two-grid sweep.  Returns max |new - old| over the interior cells.
+double sweep_in_place(double* grid, int nx, int rows, double* scratch) {
+  const auto width = static_cast<std::size_t>(nx);
+  const int last = nx - 1;  // edge column, like column 0
+  const auto fresh = [&](int r) { return scratch + (r % 2) * width; };
+  // Four independent running maxima, so neither loop carries a dependency
+  // from cell to cell.  `m < d ? d : m` is std::max(m, d), NaN included:
+  // max is exact and independent of order, so reducing the lanes at the end
+  // gives the same bits as one running maximum.
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  for (int r = 1; r <= rows; ++r) {
+    double* row = grid + r * width;
+    const double* up = row - width;
+    const double* down = row + width;
+    double* out = fresh(r);
+    for (int c = 1; c < last; ++c)
+      out[c] = 0.25 * (((up[c] + down[c]) + row[c - 1]) + row[c + 1]);
+    int c = 1;
+    for (; c + 4 <= last; c += 4)
+      for (int k = 0; k < 4; ++k) {
+        const double d = std::abs(out[c + k] - row[c + k]);
+        lane[k] = lane[k] < d ? d : lane[k];
+      }
+    for (; c < last; ++c) {
+      const double d = std::abs(out[c] - row[c]);
+      lane[0] = lane[0] < d ? d : lane[0];
+    }
+    // Old row r-1 has had its last read: write new row r-1 over it.
+    if (r > 1)
+      std::copy(fresh(r - 1) + 1, fresh(r - 1) + last, row - width + 1);
+  }
+  std::copy(fresh(rows) + 1, fresh(rows) + last, grid + rows * width + 1);
+  double max_update = 0.0;
+  for (const double m : lane) max_update = max_update < m ? m : max_update;
+  return max_update;
+}
+
+}  // namespace
+
 StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
                          const StencilConfig& config) {
   DEEP_EXPECT(config.nx >= 3 && config.rows >= 1 && config.iterations >= 1,
@@ -27,7 +74,7 @@ StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
     return static_cast<std::size_t>(r) * nx + c;
   };
   std::vector<double> grid(static_cast<std::size_t>(rows + 2) * nx, 0.0);
-  std::vector<double> next(grid.size(), 0.0);
+  std::vector<double> scratch(2 * static_cast<std::size_t>(nx));  // 2 rows
   if (me == 0)
     for (int c = 0; c < nx; ++c) grid[idx(0, c)] = config.top_value;
 
@@ -47,9 +94,11 @@ StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
     }
   }
 
+  std::vector<mpi::RequestPtr> reqs;
+  reqs.reserve(4);
   for (int iter = start_iter; iter < config.iterations; ++iter) {
     // Halo exchange: send my top interior row up, bottom interior row down.
-    std::vector<mpi::RequestPtr> reqs;
+    reqs.clear();
     const std::span<double> top_halo(&grid[idx(0, 0)], static_cast<std::size_t>(nx));
     const std::span<double> bot_halo(&grid[idx(rows + 1, 0)],
                                      static_cast<std::size_t>(nx));
@@ -70,21 +119,7 @@ StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
     mpi.wait_all(reqs);
 
     // Real 5-point sweep on the interior; fixed left/right edges.
-    last_update = 0.0;
-    for (int r = 1; r <= rows; ++r) {
-      for (int c = 1; c < nx - 1; ++c) {
-        const double v = 0.25 * (grid[idx(r - 1, c)] + grid[idx(r + 1, c)] +
-                                 grid[idx(r, c - 1)] + grid[idx(r, c + 1)]);
-        last_update = std::max(last_update, std::abs(v - grid[idx(r, c)]));
-        next[idx(r, c)] = v;
-      }
-      next[idx(r, 0)] = grid[idx(r, 0)];
-      next[idx(r, nx - 1)] = grid[idx(r, nx - 1)];
-    }
-    // Preserve halos/boundaries, then swap.
-    std::copy_n(&grid[idx(0, 0)], nx, &next[idx(0, 0)]);
-    std::copy_n(&grid[idx(rows + 1, 0)], nx, &next[idx(rows + 1, 0)]);
-    grid.swap(next);
+    last_update = sweep_in_place(grid.data(), nx, rows, scratch.data());
 
     // Burn the modelled sweep time on this rank's cores.
     mpi.compute(hw::kernels::jacobi2d(nx, rows), mpi.node().spec().cores);

@@ -8,6 +8,13 @@
 // rows.  Each iteration exchanges halos with the up/down neighbours, does a
 // real 5-point sweep (the arithmetic is genuine; results are verified in
 // tests), and burns the modelled roofline time for the sweep.
+//
+// The sweep runs in place: per rank it holds one (rows + 2) x nx grid plus
+// two nx-cell scratch rows, not a second grid.  New row r is computed into
+// a scratch row from the old rows r-1, r and r+1 and written back to the
+// grid one row late, once new row r+1 has read old row r.  Every cell is
+// still 0.25 * (((N + S) + W) + E) of the previous iteration's values, so
+// results and checkpointed states are bit-identical to a two-grid sweep.
 
 #include <vector>
 

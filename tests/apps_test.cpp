@@ -3,11 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "apps/cholesky.hpp"
 #include "apps/stencil.hpp"
 #include "hw/node.hpp"
 #include "mpi_rig.hpp"
 #include "ompss/runtime.hpp"
+#include "resiliency_rig.hpp"
 #include "sim/engine.hpp"
 
 namespace da = deep::apps;
@@ -156,6 +165,148 @@ TEST(Stencil, InvalidConfigRejected) {
                  da::run_jacobi(mpi, mpi.world(), cfg);
                }),
                deep::util::UsageError);
+}
+
+namespace {
+
+// The two-grid Jacobi sweep run_jacobi used before it went in place, kept
+// verbatim (minus checkpointing) as the reference its results must match
+// bit for bit.
+da::StencilResult reference_jacobi(deep::mpi::Mpi& mpi,
+                                   const deep::mpi::Comm& comm,
+                                   const da::StencilConfig& config) {
+  const int nx = config.nx;
+  const int rows = config.rows;
+  const int size = comm.size();
+  const int me = comm.rank();
+  const int up = me - 1;
+  const int down = me + 1;
+  const auto idx = [nx](int r, int c) {
+    return static_cast<std::size_t>(r) * nx + c;
+  };
+  std::vector<double> grid(static_cast<std::size_t>(rows + 2) * nx, 0.0);
+  std::vector<double> next(grid.size(), 0.0);
+  if (me == 0)
+    for (int c = 0; c < nx; ++c) grid[idx(0, c)] = config.top_value;
+
+  std::int64_t halo_messages = 0;
+  double last_update = 0.0;
+  constexpr deep::mpi::Tag kUpTag = 71, kDownTag = 72;
+  for (int iter = 0; iter < config.iterations; ++iter) {
+    std::vector<deep::mpi::RequestPtr> reqs;
+    const std::span<double> top_halo(&grid[idx(0, 0)], static_cast<std::size_t>(nx));
+    const std::span<double> bot_halo(&grid[idx(rows + 1, 0)],
+                                     static_cast<std::size_t>(nx));
+    const std::span<const double> top_row(&grid[idx(1, 0)],
+                                          static_cast<std::size_t>(nx));
+    const std::span<const double> bot_row(&grid[idx(rows, 0)],
+                                          static_cast<std::size_t>(nx));
+    if (up >= 0) {
+      reqs.push_back(mpi.irecv<double>(comm, up, kDownTag, top_halo));
+      reqs.push_back(mpi.isend<double>(comm, up, kUpTag, top_row));
+      halo_messages += 2;
+    }
+    if (down < size) {
+      reqs.push_back(mpi.irecv<double>(comm, down, kUpTag, bot_halo));
+      reqs.push_back(mpi.isend<double>(comm, down, kDownTag, bot_row));
+      halo_messages += 2;
+    }
+    mpi.wait_all(reqs);
+
+    last_update = 0.0;
+    for (int r = 1; r <= rows; ++r) {
+      for (int c = 1; c < nx - 1; ++c) {
+        const double v = 0.25 * (grid[idx(r - 1, c)] + grid[idx(r + 1, c)] +
+                                 grid[idx(r, c - 1)] + grid[idx(r, c + 1)]);
+        last_update = std::max(last_update, std::abs(v - grid[idx(r, c)]));
+        next[idx(r, c)] = v;
+      }
+      next[idx(r, 0)] = grid[idx(r, 0)];
+      next[idx(r, nx - 1)] = grid[idx(r, nx - 1)];
+    }
+    std::copy_n(&grid[idx(0, 0)], nx, &next[idx(0, 0)]);
+    std::copy_n(&grid[idx(rows + 1, 0)], nx, &next[idx(rows + 1, 0)]);
+    grid.swap(next);
+  }
+
+  double local_sum = 0.0;
+  for (int r = 1; r <= rows; ++r)
+    for (int c = 0; c < nx; ++c) local_sum += grid[idx(r, c)];
+
+  da::StencilResult result;
+  const double in_max[1] = {last_update};
+  double out_max[1];
+  mpi.allreduce<double>(comm, deep::mpi::Op::Max, in_max, out_max);
+  const double in_sum[1] = {local_sum};
+  double out_sum[1];
+  mpi.allreduce<double>(comm, deep::mpi::Op::Sum, in_sum, out_sum);
+  result.residual = out_max[0];
+  result.checksum = out_sum[0];
+  result.halo_messages = halo_messages;
+  return result;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+}  // namespace
+
+// The in-place sweep must reproduce the two-grid sweep exactly: same
+// residual and checksum bits.  The widths hit every tail length of the
+// sweep's 4-lane max loop (interior width nx - 2 = 1..5, 22, 255).
+TEST(Stencil, SweepBitIdenticalToReference) {
+  for (const int ranks : {1, 3}) {
+    for (const int nx : {3, 4, 5, 6, 7, 24, 257}) {
+      SCOPED_TRACE("ranks=" + std::to_string(ranks) +
+                   " nx=" + std::to_string(nx));
+      da::StencilConfig cfg;
+      cfg.nx = nx;
+      cfg.rows = 5;
+      cfg.iterations = 30;
+      cfg.top_value = 0.7;  // not dyadic, so every sum rounds
+      MpiRig rig(ranks);
+      rig.run([&](deep::mpi::Mpi& mpi) {
+        const auto got = da::run_jacobi(mpi, mpi.world(), cfg);
+        const auto want = reference_jacobi(mpi, mpi.world(), cfg);
+        EXPECT_GT(want.residual, 0.0);
+        EXPECT_EQ(bits(got.residual), bits(want.residual));
+        EXPECT_EQ(bits(got.checksum), bits(want.checksum));
+        EXPECT_EQ(got.halo_messages, want.halo_messages);
+      });
+    }
+  }
+}
+
+// A run that loses a booster node, restores from a checkpoint and replays
+// must end with the fault-free run's bits, and both with the reference's.
+TEST(Stencil, CheckpointRestoreBitIdenticalToReference) {
+  constexpr std::int64_t kUs = 1'000'000;  // picoseconds per microsecond
+  deep::testing::ResiliencyConfig rcfg;  // stencil, 2 CN + 2 BN ranks
+  const auto fault_free = deep::testing::run_resiliency(rcfg, {});
+  deep::net::FaultSpec kill;
+  kill.seed = 3;
+  kill.nodes.push_back({deep::sim::TimePoint{400 * kUs}, 2, false});
+  kill.nodes.push_back({deep::sim::TimePoint{900 * kUs}, 2, true});
+  const auto restored = deep::testing::run_resiliency(rcfg, kill);
+  ASSERT_TRUE(fault_free.completed);
+  ASSERT_TRUE(restored.completed);
+  EXPECT_GT(restored.restores, 0) << "the kill must force a checkpoint restore";
+  EXPECT_EQ(bits(restored.checksum), bits(fault_free.checksum));
+  EXPECT_EQ(bits(restored.quality), bits(fault_free.quality));
+
+  // The same global problem through the reference sweep (same decomposition,
+  // so the same summation order in the reductions).
+  da::StencilResult want;
+  MpiRig rig(rcfg.cluster_ranks + rcfg.booster_ranks);
+  rig.run([&](deep::mpi::Mpi& mpi) {
+    da::StencilConfig cfg;
+    cfg.nx = 32;
+    cfg.rows = 8;
+    cfg.iterations = rcfg.iterations;
+    const auto r = reference_jacobi(mpi, mpi.world(), cfg);
+    if (mpi.rank() == 0) want = r;
+  });
+  EXPECT_EQ(bits(fault_free.checksum), bits(want.checksum));
+  EXPECT_EQ(bits(fault_free.quality), bits(want.residual));
 }
 
 TEST(Irregular, CompletesOnBothFabrics) {

@@ -90,7 +90,7 @@ void usage() {
       "  --cluster N   --booster N   --gateways N\n"
       "  --topology deep|fattree|dragonfly (booster fabric; default deep)\n"
       "  --adaptive (congestion-aware routing on fattree/dragonfly)\n"
-      "  --workload stencil|cholesky|nbody   --procs N   --steps N\n"
+      "  --workload stencil|cholesky|nbody|spmv   --procs N   --steps N\n"
       "  --static-partitions   --workers N|auto   --partitions N|auto\n"
       "  --speculate K|auto|off   --wallclock-metrics   --trace FILE   --report\n"
       "  --metrics-out FILE (.json|.csv)   --metrics-interval US\n"
