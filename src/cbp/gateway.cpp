@@ -68,21 +68,21 @@ BridgedTransport::BridgedTransport(sim::Engine& engine,
 void BridgedTransport::register_cluster_node(hw::NodeId node) {
   DEEP_EXPECT(cluster_->attached(node),
               "register_cluster_node: not attached to cluster fabric");
-  DEEP_EXPECT(sides_.try_emplace(node, Side::Cluster).second,
+  DEEP_EXPECT(register_side(node, Side::Cluster),
               "register_cluster_node: node already registered");
 }
 
 void BridgedTransport::register_booster_node(hw::NodeId node) {
   DEEP_EXPECT(booster_->attached(node),
               "register_booster_node: not attached to booster fabric");
-  DEEP_EXPECT(sides_.try_emplace(node, Side::Booster).second,
+  DEEP_EXPECT(register_side(node, Side::Booster),
               "register_booster_node: node already registered");
 }
 
 void BridgedTransport::register_gateway(hw::NodeId node) {
   DEEP_EXPECT(cluster_->attached(node) && booster_->attached(node),
               "register_gateway: gateway must sit on both fabrics");
-  DEEP_EXPECT(sides_.try_emplace(node, Side::Gateway).second,
+  DEEP_EXPECT(register_side(node, Side::Gateway),
               "register_gateway: node already registered");
   gateways_.push_back(GatewayState{node, {}, {}});
   GatewayState& gw = gateways_.back();
@@ -93,10 +93,21 @@ void BridgedTransport::register_gateway(hw::NodeId node) {
   booster_->nic(node).bind(net::Port::Cbp, handler);
 }
 
+bool BridgedTransport::register_side(hw::NodeId node, Side side) {
+  // Registered nodes are attached to a fabric, so node >= 0.
+  const auto slot = static_cast<std::size_t>(node);
+  if (sides_.size() <= slot) sides_.resize(slot + 1, Side::Unregistered);
+  if (sides_[slot] != Side::Unregistered) return false;
+  sides_[slot] = side;
+  return true;
+}
+
 BridgedTransport::Side BridgedTransport::side_of(hw::NodeId node) const {
-  auto it = sides_.find(node);
-  DEEP_EXPECT(it != sides_.end(), "BridgedTransport: node not registered");
-  return it->second;
+  const Side side = node >= 0 && static_cast<std::size_t>(node) < sides_.size()
+                        ? sides_[static_cast<std::size_t>(node)]
+                        : Side::Unregistered;
+  DEEP_EXPECT(side != Side::Unregistered, "BridgedTransport: node not registered");
+  return side;
 }
 
 bool BridgedTransport::on_cluster_side(hw::NodeId node) const {
@@ -116,6 +127,8 @@ net::Nic& BridgedTransport::home_nic(hw::NodeId node) {
       return cluster_->nic(node);
     case Side::Booster:
       return booster_->nic(node);
+    case Side::Unregistered:
+      break;  // side_of() never returns it
   }
   throw util::SimError("unreachable");
 }

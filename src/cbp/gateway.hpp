@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "cbp/transport.hpp"
 #include "net/fabric.hpp"
@@ -102,7 +103,7 @@ class BridgedTransport final : public Transport {
   bool on_booster_side(hw::NodeId node) const;
 
  private:
-  enum class Side : std::uint8_t { Cluster, Booster, Gateway };
+  enum class Side : std::uint8_t { Unregistered, Cluster, Booster, Gateway };
 
   struct GatewayState {
     hw::NodeId node;
@@ -111,6 +112,8 @@ class BridgedTransport final : public Transport {
     bool up = true;
   };
 
+  /// Records `node`'s side; false if it already has one.
+  bool register_side(hw::NodeId node, Side side);
   Side side_of(hw::NodeId node) const;
   GatewayState& pick_gateway(hw::NodeId src, hw::NodeId dst);
   /// Retry-path selection: may return a down gateway (Pinned) or nullptr
@@ -133,7 +136,7 @@ class BridgedTransport final : public Transport {
   net::Fabric* cluster_;
   net::Fabric* booster_;
   BridgeParams params_;
-  std::unordered_map<hw::NodeId, Side> sides_;
+  std::vector<Side> sides_;  // indexed by node
   // deque: register_gateway hands out stable references to elements.
   std::deque<GatewayState> gateways_;
   std::size_t rr_next_ = 0;

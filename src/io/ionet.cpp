@@ -10,6 +10,15 @@
 
 namespace deep::io {
 
+namespace {
+
+// The deadlock-report note of a process waiting on I/O.  IoNet::wait never
+// clears it, so the note outlives the wait: its subject is static.
+constexpr const char* kIoWaitNote = "io.wait";
+std::string note_text(const char* const& text) { return text; }
+
+}  // namespace
+
 IoNet::IoNet(sim::Engine& engine, cbp::Transport& transport, IoParams params)
     : engine_(&engine), transport_(&transport), params_(params) {
   DEEP_EXPECT(params_.max_attempts >= 1, "IoNet: max_attempts must be >= 1");
@@ -60,7 +69,7 @@ bool IoNet::wait(sim::Context& ctx, OpHandle handle) {
   DEEP_EXPECT(it->second.waiter == &ctx.process(),
               "IoNet::wait: operation belongs to another process");
   while (!it->second.done) {
-    ctx.process().set_block_note("io.wait");
+    ctx.process().set_block_note<&note_text>(kIoWaitNote);
     ctx.suspend();
   }
   const bool ok = it->second.ok;

@@ -26,7 +26,13 @@ RequestPtr make_request() {
 Endpoint::Endpoint(MpiSystem& system, EpId id, hw::NodeId node)
     : system_(&system), id_(id), node_(node) {}
 
-std::uint64_t Endpoint::next_seq_to(EpId dst) { return seq_out_[dst]++; }
+Endpoint::Flow& Endpoint::flow(EpId peer) {
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), peer,
+      [](const Flow& f, EpId p) { return f.peer < p; });
+  if (it != flows_.end() && it->peer == peer) return *it;
+  return *flows_.insert(it, Flow{peer});
+}
 
 RequestPtr Endpoint::start_send(const EpAddr& dst, ContextId context,
                                 Rank src_rank, Tag tag,
@@ -416,7 +422,7 @@ void Endpoint::on_message(net::Message&& msg) {
   DEEP_ASSERT(header->dst_ep == id_, "Endpoint: misrouted message");
 
   // Restore per-flow ordering (the CBP round-robin path may reorder).
-  std::uint64_t& expected = seq_in_[header->src_ep];
+  std::uint64_t& expected = flow(header->src_ep).seq_in;
   if (header->seq != expected) {
     DEEP_ASSERT(header->seq > expected, "Endpoint: duplicate sequence number");
     reorder_[header->src_ep].emplace(
@@ -434,8 +440,10 @@ void Endpoint::on_message(net::Message&& msg) {
 void Endpoint::drain_reorder(EpId src_ep) {
   // Consume directly-following parked messages and lost-sequence holes until
   // the flow blocks on a number that is still genuinely in flight.
+  if (parked_total_ == 0 && lost_seqs_.empty()) return;
   for (;;) {
-    std::uint64_t& exp = seq_in_[src_ep];
+    // Re-read each round: process_in_order may grow flows_.
+    std::uint64_t& exp = flow(src_ep).seq_in;
     auto it = reorder_.find(src_ep);
     if (it != reorder_.end() && !it->second.empty() &&
         it->second.begin()->first == exp) {
@@ -463,7 +471,7 @@ void Endpoint::drain_reorder(EpId src_ep) {
 // ---------------------------------------------------------------------------
 
 void Endpoint::note_lost_seq(EpId src_ep, std::uint64_t seq) {
-  std::uint64_t& expected = seq_in_[src_ep];
+  std::uint64_t& expected = flow(src_ep).seq_in;
   if (seq == expected) {
     ++expected;
     drain_reorder(src_ep);

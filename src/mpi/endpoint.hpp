@@ -177,7 +177,19 @@ class Endpoint {
   void send_cts(const WireHeader& rts);
   void complete(const RequestPtr& request, Rank source, Tag tag,
                 std::int64_t bytes);
-  std::uint64_t next_seq_to(EpId dst);
+  std::uint64_t next_seq_to(EpId dst) { return flow(dst).seq_out++; }
+
+  // Flow sequencing state with one peer endpoint.  A rank talks to few
+  // peers (halo neighbours, collective partners), so the table is a small
+  // vector sorted by peer; an entry is created on first contact.
+  struct Flow {
+    EpId peer;
+    std::uint64_t seq_out = 0;  // next sequence number sent to peer
+    std::uint64_t seq_in = 0;   // next sequence number expected from peer
+  };
+  /// The flow with `peer`.  The reference is invalidated by the next
+  /// first contact with another peer (any send may make one).
+  Flow& flow(EpId peer);
 
   MpiSystem* system_;
   EpId id_;
@@ -193,9 +205,8 @@ class Endpoint {
   std::unordered_map<std::uint64_t, PendingGet> pending_gets_;
   std::int64_t outstanding_puts_ = 0;
 
-  // Flow sequencing: outbound counters and inbound reorder buffers.
-  std::unordered_map<EpId, std::uint64_t> seq_out_;
-  std::unordered_map<EpId, std::uint64_t> seq_in_;
+  // Flow sequencing: per-peer counters and inbound reorder buffers.
+  std::vector<Flow> flows_;
   std::unordered_map<EpId, std::map<std::uint64_t, UnexpectedMsg>> reorder_;
   std::size_t parked_total_ = 0;
   std::size_t lifetime_parked_ = 0;

@@ -93,6 +93,30 @@ std::string describe(const Request& r) {
   return s;
 }
 
+// Block-note formatters (sim::Process::set_block_note): run only when a
+// deadlock report reads the note.
+std::string wait_note(const Request& r) { return "wait(" + describe(r) + ")"; }
+
+std::string wait_any_note(const std::span<const RequestPtr>& requests) {
+  return "wait_any(" + std::to_string(requests.size()) +
+         " requests, first: " + describe(*requests[0]) + ")";
+}
+
+struct ProbeTarget {
+  Rank src;
+  Tag tag;
+};
+
+std::string probe_note(const ProbeTarget& t) {
+  return "probe(src=" + std::to_string(t.src) +
+         ", tag=" + std::to_string(t.tag) + ")";
+}
+
+std::string fence_note(const std::int64_t& outstanding) {
+  return "fence: waiting for remote completion of " +
+         std::to_string(outstanding) + " one-sided op(s)";
+}
+
 [[noreturn]] void throw_request_error(const Request& r) {
   throw MpiError(r.error, "MPI " + describe(r) +
                               " failed: a message it needed was lost "
@@ -105,11 +129,11 @@ void Mpi::wait(const RequestPtr& request) {
   DEEP_EXPECT(request != nullptr, "wait: null request");
   if (!request->done) {
     sim::Process& self = ctx_->process();
-    self.set_block_note("wait(" + describe(*request) + ")");
+    self.set_block_note<&wait_note>(*request);
     const sim::TimePoint blocked_at = ctx_->now();
     while (!request->done) ctx_->suspend();
     record_wait(blocked_at);
-    self.set_block_note({});
+    self.clear_block_note();
   }
   if (request->error != ErrCode::Success) throw_request_error(*request);
 }
@@ -134,15 +158,14 @@ std::size_t Mpi::wait_any(std::span<const RequestPtr> requests) {
       if (!requests[i]->done) continue;
       if (noted) {
         record_wait(blocked_at);
-        self.set_block_note({});
+        self.clear_block_note();
       }
       if (requests[i]->error != ErrCode::Success)
         throw_request_error(*requests[i]);
       return i;
     }
     if (!noted) {
-      self.set_block_note("wait_any(" + std::to_string(requests.size()) +
-                          " requests, first: " + describe(*requests[0]) + ")");
+      self.set_block_note<&wait_any_note>(requests);
       noted = true;
       blocked_at = ctx_->now();
     }
@@ -156,15 +179,15 @@ std::optional<Status> Mpi::iprobe(const Comm& comm, Rank src, Tag tag) {
 
 Status Mpi::probe(const Comm& comm, Rank src, Tag tag) {
   sim::Process& self = ctx_->process();
+  const ProbeTarget target{src, tag};
   bool noted = false;
   for (;;) {
     if (auto st = iprobe(comm, src, tag)) {
-      if (noted) self.set_block_note({});
+      if (noted) self.clear_block_note();
       return *st;
     }
     if (!noted) {
-      self.set_block_note("probe(src=" + std::to_string(src) +
-                          ", tag=" + std::to_string(tag) + ")");
+      self.set_block_note<&probe_note>(target);
       noted = true;
     }
     ctx_->suspend();
@@ -344,11 +367,10 @@ void Mpi::fence(const Window& window) {
   // Local puts must be remotely complete...
   if (endpoint_->outstanding_puts() > 0) {
     sim::Process& self = ctx_->process();
-    self.set_block_note("fence: waiting for remote completion of " +
-                        std::to_string(endpoint_->outstanding_puts()) +
-                        " one-sided op(s)");
+    const std::int64_t outstanding = endpoint_->outstanding_puts();
+    self.set_block_note<&fence_note>(outstanding);
     while (endpoint_->outstanding_puts() > 0) ctx_->suspend();
-    self.set_block_note({});
+    self.clear_block_note();
   }
   // A lost Put/Accum (or its ack) counts as a failed remote completion.
   const std::int64_t lost = endpoint_->take_put_failures();

@@ -61,7 +61,9 @@ class BridgeFabric final : public Fabric {
   Nic& attach_in(hw::NodeId node, std::uint32_t p) {
     Nic& nic = Fabric::attach(node);
     set_node_partition(node, p);
-    tx_free_.try_emplace(node);  // pre-created: send() must not mutate the map
+    // Sized here: send() must not reallocate the vector.
+    const auto slots = static_cast<std::size_t>(node) + 1;
+    if (tx_free_.size() < slots) tx_free_.resize(slots);
     return nic;
   }
 
@@ -79,7 +81,7 @@ class BridgeFabric final : public Fabric {
       // Priority channel: latency only, no queueing behind bulk.
       deliver = now + params_.latency + wire;
     } else {
-      sim::TimePoint& tx = tx_free_.at(msg.src);
+      sim::TimePoint& tx = tx_free_[static_cast<std::size_t>(msg.src)];
       const sim::TimePoint tx_start = std::max(now, tx);
       tx = tx_start + wire;
       deliver = tx_start + wire + params_.latency;
@@ -96,7 +98,7 @@ class BridgeFabric final : public Fabric {
 
  private:
   BridgeParams params_;
-  std::unordered_map<hw::NodeId, sim::TimePoint> tx_free_;
+  std::vector<sim::TimePoint> tx_free_;  // per-source busy-until, by node
 };
 
 }  // namespace deep::net

@@ -8,7 +8,7 @@
 // a message occupies tx for size/bw, travels for `latency`, and occupies rx
 // for size/bw; overlapping use of an endpoint link queues.
 
-#include <unordered_map>
+#include <vector>
 
 #include "net/fabric.hpp"
 #include "net/pool.hpp"
@@ -41,12 +41,15 @@ class CrossbarFabric final : public Fabric {
   /// sides, unconstrained otherwise) is sound.
   sim::Duration lookahead() const override { return params_.latency; }
 
-  /// Endpoint link slots are pre-created here so the partitioned send path
-  /// never mutates the maps (rehash would race across workers).
+  /// Endpoint link slots are sized here so the partitioned send path never
+  /// resizes the vectors (a reallocation would race across workers).
   Nic& attach(hw::NodeId node) override {
     Nic& nic = Fabric::attach(node);
-    tx_free_.try_emplace(node);
-    rx_free_.try_emplace(node);
+    const auto slots = static_cast<std::size_t>(node) + 1;
+    if (tx_free_.size() < slots) {
+      tx_free_.resize(slots);
+      rx_free_.resize(slots);
+    }
     return nic;
   }
 
@@ -68,7 +71,7 @@ class CrossbarFabric final : public Fabric {
 
     // Injection booking is owned by the source endpoint's partition (send()
     // executes there — every caller injects from its own node).
-    sim::TimePoint& tx = tx_free_.at(msg.src);
+    sim::TimePoint& tx = tx_free_[static_cast<std::size_t>(msg.src)];
     const sim::TimePoint tx_start = std::max(now, tx);
     const sim::TimePoint tx_end = tx_start + wire;
     tx = tx_end;
@@ -87,7 +90,7 @@ class CrossbarFabric final : public Fabric {
             dst_part, nominal,
             [this, wire, m = PooledMessage(std::move(msg))]() mutable {
               Message msg = m.take();
-              sim::TimePoint& rx = rx_free_.at(msg.dst);
+              sim::TimePoint& rx = rx_free_[static_cast<std::size_t>(msg.dst)];
               const sim::TimePoint deliver =
                   std::max(engine_->now(), rx + wire);
               rx = deliver;
@@ -96,7 +99,7 @@ class CrossbarFabric final : public Fabric {
         return;
       }
     }
-    sim::TimePoint& rx = rx_free_.at(msg.dst);
+    sim::TimePoint& rx = rx_free_[static_cast<std::size_t>(msg.dst)];
     const sim::TimePoint deliver = std::max(nominal, rx + wire);
     rx = deliver;
 
@@ -111,8 +114,9 @@ class CrossbarFabric final : public Fabric {
 
  private:
   CrossbarParams params_;
-  std::unordered_map<hw::NodeId, sim::TimePoint> tx_free_;
-  std::unordered_map<hw::NodeId, sim::TimePoint> rx_free_;
+  // Endpoint link busy-until times, indexed by node.
+  std::vector<sim::TimePoint> tx_free_;
+  std::vector<sim::TimePoint> rx_free_;
   obs::Counter m_link_busy_ps_;
   obs::Histogram m_tx_wait_ns_;
 };

@@ -68,18 +68,23 @@ class Fabric {
 
   /// Attaches a node; returns its NIC on this fabric (stable reference).
   virtual Nic& attach(hw::NodeId node) {
-    auto [it, inserted] = nics_.try_emplace(node, nullptr);
-    DEEP_EXPECT(inserted, "Fabric::attach: node already attached");
-    it->second = std::make_unique<Nic>(node);
-    return *it->second;
+    DEEP_EXPECT(node >= 0, "Fabric::attach: negative node id");
+    const auto slot = static_cast<std::size_t>(node);
+    if (slot >= nics_.size()) nics_.resize(slot + 1);
+    DEEP_EXPECT(nics_[slot] == nullptr, "Fabric::attach: node already attached");
+    nics_[slot] = std::make_unique<Nic>(node);
+    ++attached_count_;
+    return *nics_[slot];
   }
 
-  bool attached(hw::NodeId node) const { return nics_.contains(node); }
+  bool attached(hw::NodeId node) const {
+    return node >= 0 && static_cast<std::size_t>(node) < nics_.size() &&
+           nics_[static_cast<std::size_t>(node)] != nullptr;
+  }
 
   Nic& nic(hw::NodeId node) {
-    auto it = nics_.find(node);
-    DEEP_EXPECT(it != nics_.end(), "Fabric::nic: node not attached");
-    return *it->second;
+    DEEP_EXPECT(attached(node), "Fabric::nic: node not attached");
+    return *nics_[static_cast<std::size_t>(node)];
   }
 
   /// Injects a message; the fabric delivers it to the destination NIC after
@@ -151,7 +156,7 @@ class Fabric {
       ++assigned;
     }
     // Unassigned nodes default to partition 0.
-    return p == 0 && assigned < nics_.size();
+    return p == 0 && assigned < attached_count_;
   }
 
   // -- topology introspection (for auto-partitioning) -------------------------
@@ -159,12 +164,9 @@ class Fabric {
   /// Attached node ids in ascending order.
   std::vector<hw::NodeId> attached_ids() const {
     std::vector<hw::NodeId> ids;
-    ids.reserve(nics_.size());
-    for (const auto& [node, nic] : nics_) {
-      (void)nic;
-      ids.push_back(node);
-    }
-    std::sort(ids.begin(), ids.end());
+    ids.reserve(attached_count_);
+    for (const auto& nic : nics_)
+      if (nic != nullptr) ids.push_back(nic->node());
     return ids;
   }
 
@@ -274,6 +276,7 @@ class Fabric {
     DEEP_ASSERT(!engine_->speculating(),
                 "Fabric::deliver_at: fabric send inside a speculated tail "
                 "(the sending event was wrongly marked replayable)");
+    Nic* nic = &this->nic(msg.dst);
     FabricStats& shard = stats_shard();
     shard.messages += 1;
     shard.bytes += msg.size_bytes;
@@ -290,7 +293,6 @@ class Fabric {
     // Park the message in a pooled slot: the capture is {Nic*, PooledMessage}
     // (16 bytes), so the event fits the engine's inline buffer and the whole
     // schedule-deliver round trip allocates nothing in steady state.
-    auto* nic = nics_.at(msg.dst).get();
     if (node_partition_.empty()) {
       // Unpartitioned fabric: historical path, bit-identical scheduling.
       engine_->schedule_at(at,
@@ -307,7 +309,8 @@ class Fabric {
 
   sim::Engine* engine_;
   std::string name_;
-  std::unordered_map<hw::NodeId, std::unique_ptr<Nic>> nics_;
+  std::vector<std::unique_ptr<Nic>> nics_;  // indexed by node; null if absent
+  std::size_t attached_count_ = 0;
   std::vector<FabricStats> shards_ =
       std::vector<FabricStats>(util::kMaxLanes);  // indexed by execution lane
   std::unordered_map<hw::NodeId, std::uint32_t> node_partition_;

@@ -67,15 +67,18 @@ Nic& TorusFabric::attach_at(hw::NodeId node, TorusCoord coord) {
               "TorusFabric::attach_at: coordinate already occupied");
   Nic& nic = Fabric::attach(node);
   node_at_[lin] = node;
-  linear_of_[node] = lin;
+  const auto slot = static_cast<std::size_t>(node);
+  if (linear_of_.size() <= slot) linear_of_.resize(slot + 1, -1);
+  linear_of_[slot] = lin;
   partition_dirty_.store(true, std::memory_order_release);
   return nic;
 }
 
 int TorusFabric::linear_of(hw::NodeId node) const {
-  auto it = linear_of_.find(node);
-  DEEP_EXPECT(it != linear_of_.end(), "TorusFabric: node not attached");
-  return it->second;
+  DEEP_EXPECT(node >= 0 && static_cast<std::size_t>(node) < linear_of_.size() &&
+                  linear_of_[static_cast<std::size_t>(node)] >= 0,
+              "TorusFabric: node not attached");
+  return linear_of_[static_cast<std::size_t>(node)];
 }
 
 TorusCoord TorusFabric::coord_of(hw::NodeId node) const {
@@ -195,7 +198,7 @@ std::int64_t TorusFabric::affected_messages() const {
 std::vector<std::pair<hw::NodeId, hw::NodeId>> TorusFabric::topology_edges()
     const {
   std::vector<int> attached;
-  attached.reserve(linear_of_.size());
+  attached.reserve(static_cast<std::size_t>(capacity_));
   for (int lin = 0; lin < capacity_; ++lin)
     if (node_at_[lin] != hw::kInvalidNode) attached.push_back(lin);
   std::vector<std::pair<hw::NodeId, hw::NodeId>> edges;
@@ -210,7 +213,7 @@ void TorusFabric::refresh_partitions() const {
   // Attached coordinates take their node's partition.
   coord_part_.assign(capacity_, 0);
   std::vector<int> attached;
-  attached.reserve(linear_of_.size());
+  attached.reserve(static_cast<std::size_t>(capacity_));
   for (int lin = 0; lin < capacity_; ++lin)
     if (node_at_[lin] != hw::kInvalidNode) {
       coord_part_[lin] = partition_of(node_at_[lin]);

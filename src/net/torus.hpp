@@ -227,7 +227,7 @@ class TorusFabric final : public Fabric {
   int capacity_ = 0;
   std::vector<TorusCoord> coord_at_;   // linear -> coordinate (fixed)
   std::vector<hw::NodeId> node_at_;    // linear -> node (kInvalidNode if free)
-  std::unordered_map<hw::NodeId, int> linear_of_;  // node -> linear
+  std::vector<int> linear_of_;         // node -> linear (-1 if absent)
   // Directed-link busy-until times.  Shared across partitions, but each
   // entry is written only by the partition owning its router's coordinate
   // (endpoint-segmented booking), so partitioned access is race-free.

@@ -40,6 +40,7 @@ void Process::fiber_entry(void* arg) {
   }
   self->state_ = State::Finished;
   self->body_ = nullptr;  // release captured resources eagerly
+  self->clear_block_note();  // its subject lived on the unwound stack
   // cur_sched() resolves through the *running thread's* execution context,
   // so a fiber that last ran on a worker unwinds back to whichever scheduler
   // anchor resumed it (possibly the main thread during teardown).
@@ -517,7 +518,8 @@ void Engine::check_deadlock_or_finish() {
     ++stuck_count;
     stuck << "\n  " << p->name() << " (id=" << proc_id_str(*p) << ", "
           << state_name(p->state()) << ')';
-    if (!p->block_note().empty()) stuck << ": blocked on " << p->block_note();
+    if (const std::string note = p->block_note(); !note.empty())
+      stuck << ": blocked on " << note;
   }
   if (stuck_count > 0) {
     kill_all_unfinished();

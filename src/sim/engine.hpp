@@ -172,11 +172,28 @@ class Process {
   /// partition rules as wake(); no-op on a Finished process.
   void request_kill();
 
-  /// Free-form "what am I blocked on" annotation shown by the deadlock
-  /// report.  Blocking layers (e.g. MPI wait) set it before suspending and
-  /// clear it on resume; it costs nothing unless a process actually blocks.
-  void set_block_note(std::string note) { block_note_ = std::move(note); }
-  const std::string& block_note() const { return block_note_; }
+  /// "What am I blocked on" annotation shown by the deadlock report.
+  /// Blocking layers (e.g. MPI wait) set it before suspending and clear it
+  /// on resume.  Setting stores only `subject`'s address and the formatter
+  /// `Format` (a `std::string (*)(const T&)`); the text is built only when
+  /// block_note() is read, so a wait that never deadlocks formats nothing.
+  /// `subject` must stay alive until the note is cleared or replaced (a
+  /// local of the blocked call, or the request it waits on, does).
+  template <auto Format, class T>
+  void set_block_note(const T& subject) {
+    note_subject_ = &subject;
+    note_format_ = [](const void* s) {
+      return Format(*static_cast<const T*>(s));
+    };
+  }
+  template <auto Format, class T>
+  void set_block_note(const T&&) = delete;  // a temporary would dangle
+  void clear_block_note() { note_format_ = nullptr; }
+  /// The formatted note; empty when none is set.
+  std::string block_note() const {
+    return note_format_ != nullptr ? note_format_(note_subject_)
+                                   : std::string();
+  }
 
  private:
   friend class Engine;
@@ -201,7 +218,8 @@ class Process {
   std::function<void(Context&)> body_;
 
   State state_ = State::Created;
-  std::string block_note_;
+  std::string (*note_format_)(const void*) = nullptr;
+  const void* note_subject_ = nullptr;
   bool wake_pending_ = false;
   bool resume_scheduled_ = false;
   bool kill_requested_ = false;

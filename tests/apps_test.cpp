@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "ompss/runtime.hpp"
 #include "resiliency_rig.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 
 namespace da = deep::apps;
 namespace dh = deep::hw;
@@ -525,6 +527,185 @@ TEST(Spmv, RunsOnBoosterAtScale) {
     const auto r = da::run_spmv_power(mpi, mpi.world(), cfg);
     EXPECT_GT(r.eigenvalue, 0);
   });
+}
+
+namespace {
+
+// The std::set build make_banded_matrix used before it went to a sorted
+// vector, kept verbatim as the reference its output must match.
+da::CsrBlock reference_banded_matrix(int rank, int nranks,
+                                     const da::SpmvConfig& config) {
+  const int n = config.rows_per_rank * nranks;
+  da::CsrBlock block;
+  block.first_row = rank * config.rows_per_rank;
+  block.rows = config.rows_per_rank;
+  block.row_ptr.push_back(0);
+  for (int local = 0; local < block.rows; ++local) {
+    const int row = block.first_row + local;
+    deep::util::Rng rng(config.seed +
+                        static_cast<std::uint64_t>(row) * 2654435761u);
+    std::set<int> cols;
+    while (static_cast<int>(cols.size()) < config.nnz_per_row - 1) {
+      const int offset =
+          1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(config.band)));
+      const int c = rng.chance(0.5) ? row - offset : row + offset;
+      if (c >= 0 && c < n && c != row) cols.insert(c);
+      if (row < config.band || row >= n - config.band) {
+        if (static_cast<int>(cols.size()) >= config.nnz_per_row - 3) break;
+      }
+    }
+    double offdiag_sum = 0;
+    for (const int c : cols) {
+      const double v = -rng.uniform(0.1, 1.0);
+      block.col.push_back(c);
+      block.val.push_back(v);
+      offdiag_sum += std::abs(v);
+    }
+    block.col.push_back(row);
+    block.val.push_back(offdiag_sum + 2.0);
+    block.row_ptr.push_back(static_cast<int>(block.col.size()));
+  }
+  return block;
+}
+
+// The row-at-a-time power iteration run_spmv_power used before its
+// multiply interleaved rows, kept (minus checkpointing) as the reference
+// its results must match bit for bit.
+da::SpmvResult reference_spmv_power(deep::mpi::Mpi& mpi,
+                                    const deep::mpi::Comm& comm,
+                                    const da::SpmvConfig& config) {
+  const int nranks = comm.size();
+  const int me = comm.rank();
+  const int m = config.rows_per_rank;
+  const da::CsrBlock a = reference_banded_matrix(me, nranks, config);
+  const int band = config.band;
+  std::vector<double> x(static_cast<std::size_t>(m + 2 * band), 0.0);
+  std::vector<double> y(static_cast<std::size_t>(m), 0.0);
+  for (int i = 0; i < m; ++i) x[static_cast<std::size_t>(band + i)] = 1.0;
+  const auto xg = [&](int global_col) {
+    return x[static_cast<std::size_t>(global_col - a.first_row + band)];
+  };
+  da::SpmvResult result;
+  constexpr deep::mpi::Tag kLeftTag = 91, kRightTag = 92;
+  double eigen = 0;
+  for (int iter = 0; iter < config.iterations; ++iter) {
+    std::vector<deep::mpi::RequestPtr> reqs;
+    const std::span<double> xs(x);
+    const auto b = static_cast<std::size_t>(band);
+    if (me > 0) {
+      reqs.push_back(mpi.irecv<double>(comm, me - 1, kRightTag, xs.subspan(0, b)));
+      reqs.push_back(mpi.isend<double>(comm, me - 1, kLeftTag,
+                                       std::span<const double>(xs.subspan(b, b))));
+      result.halo_bytes += 2 * band * 8;
+    }
+    if (me + 1 < nranks) {
+      reqs.push_back(mpi.irecv<double>(
+          comm, me + 1, kLeftTag, xs.subspan(static_cast<std::size_t>(band + m), b)));
+      reqs.push_back(mpi.isend<double>(
+          comm, me + 1, kRightTag,
+          std::span<const double>(xs.subspan(static_cast<std::size_t>(m), b))));
+      result.halo_bytes += 2 * band * 8;
+    }
+    mpi.wait_all(reqs);
+    for (int i = 0; i < m; ++i) {
+      double s = 0;
+      for (int k = a.row_ptr[static_cast<std::size_t>(i)];
+           k < a.row_ptr[static_cast<std::size_t>(i + 1)]; ++k)
+        s += a.val[static_cast<std::size_t>(k)] * xg(a.col[static_cast<std::size_t>(k)]);
+      y[static_cast<std::size_t>(i)] = s;
+    }
+    double local[2] = {0, 0};
+    for (int i = 0; i < m; ++i) {
+      local[0] += x[static_cast<std::size_t>(band + i)] * y[static_cast<std::size_t>(i)];
+      local[1] += y[static_cast<std::size_t>(i)] * y[static_cast<std::size_t>(i)];
+    }
+    double global[2];
+    mpi.allreduce<double>(comm, deep::mpi::Op::Sum, std::span<const double>(local, 2),
+                          std::span<double>(global, 2));
+    eigen = global[0];
+    const double inv_norm = 1.0 / std::sqrt(global[1]);
+    for (int i = 0; i < m; ++i)
+      x[static_cast<std::size_t>(band + i)] = y[static_cast<std::size_t>(i)] * inv_norm;
+  }
+  double local_sum = 0;
+  for (int i = 0; i < m; ++i) local_sum += x[static_cast<std::size_t>(band + i)];
+  const double in_sum[1] = {local_sum};
+  double global_sum[1];
+  mpi.allreduce<double>(comm, deep::mpi::Op::Sum, in_sum, global_sum);
+  result.eigenvalue = eigen;
+  result.checksum = global_sum[0];
+  return result;
+}
+
+// (rows_per_rank, band, nnz_per_row): row counts that leave 1-3 rows after
+// the last run of 4, and bands narrow enough that edge rows come out short,
+// so runs of unequal row lengths fall back to one row at a time.  The
+// builder needs band >= nnz_per_row - 3, or an edge row never fills.
+struct SpmvShape {
+  int rows;
+  int band;
+  int nnz;
+};
+constexpr SpmvShape kSpmvShapes[] = {
+    {5, 4, 7}, {6, 3, 5}, {7, 5, 8}, {8, 4, 6}, {13, 6, 8}, {130, 16, 8}};
+
+}  // namespace
+
+TEST(Spmv, MatrixBuildMatchesSetReference) {
+  for (const SpmvShape& shape : kSpmvShapes) {
+    for (const int nranks : {1, 3}) {
+      da::SpmvConfig cfg;
+      cfg.rows_per_rank = shape.rows;
+      cfg.band = shape.band;
+      cfg.nnz_per_row = shape.nnz;
+      for (int rank = 0; rank < nranks; ++rank) {
+        SCOPED_TRACE("rows=" + std::to_string(shape.rows) +
+                     " nranks=" + std::to_string(nranks) +
+                     " rank=" + std::to_string(rank));
+        const auto got = da::make_banded_matrix(rank, nranks, cfg);
+        const auto want = reference_banded_matrix(rank, nranks, cfg);
+        EXPECT_EQ(got.first_row, want.first_row);
+        EXPECT_EQ(got.rows, want.rows);
+        EXPECT_EQ(got.row_ptr, want.row_ptr);
+        EXPECT_EQ(got.col, want.col);
+        ASSERT_EQ(got.val.size(), want.val.size());
+        for (std::size_t k = 0; k < got.val.size(); ++k)
+          EXPECT_EQ(bits(got.val[k]), bits(want.val[k])) << "k=" << k;
+      }
+    }
+  }
+}
+
+// The interleaved multiply must reproduce the row-at-a-time loop exactly:
+// same eigenvalue and checksum bits.
+TEST(Spmv, KernelBitIdenticalToReference) {
+  bool saw_short_row = false;
+  for (const SpmvShape& shape : kSpmvShapes) {
+    for (const int nranks : {1, 3}) {
+      SCOPED_TRACE("rows=" + std::to_string(shape.rows) +
+                   " nranks=" + std::to_string(nranks));
+      da::SpmvConfig cfg;
+      cfg.rows_per_rank = shape.rows;
+      cfg.band = shape.band;
+      cfg.nnz_per_row = shape.nnz;
+      cfg.iterations = 12;
+      const auto a = da::make_banded_matrix(0, nranks, cfg);
+      for (int i = 0; i < a.rows; ++i)
+        if (a.row_ptr[static_cast<std::size_t>(i + 1)] -
+                a.row_ptr[static_cast<std::size_t>(i)] < shape.nnz)
+          saw_short_row = true;
+      MpiRig rig(nranks);
+      rig.run([&](deep::mpi::Mpi& mpi) {
+        const auto got = da::run_spmv_power(mpi, mpi.world(), cfg);
+        const auto want = reference_spmv_power(mpi, mpi.world(), cfg);
+        EXPECT_GT(want.eigenvalue, 0.0);
+        EXPECT_EQ(bits(got.eigenvalue), bits(want.eigenvalue));
+        EXPECT_EQ(bits(got.checksum), bits(want.checksum));
+        EXPECT_EQ(got.halo_bytes, want.halo_bytes);
+      });
+    }
+  }
+  EXPECT_TRUE(saw_short_row) << "no shape exercised the unequal-row fallback";
 }
 
 TEST(Spmv, InvalidConfigRejected) {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "chaos_rig.hpp"
 #include "net/fattree.hpp"
@@ -287,6 +288,88 @@ TEST(ChaosScenario, FaultPlanComposesWithFatTree) {
   EXPECT_GT(dropped, injected);
   EXPECT_GT(arrived, 0);
   EXPECT_EQ(arrived + static_cast<int>(dropped), 75);
+}
+
+// ---------------------------------------------------------------------------
+// Flow sequencing: one rank with many peers, reordering and a lost number.
+// ---------------------------------------------------------------------------
+
+// Rank 0 (cluster) trades alternating tiny (eager) and large (rendezvous)
+// messages with 12 booster ranks through 3 round-robin gateways, so its
+// per-peer flow table grows entry by entry while messages overtake each
+// other.  Ranks 5 and 9 each send one extra eager message that is dropped
+// on its post-gateway leg: the MPI layer punches the hole with
+// note_lost_seq.  Rank 5 then pauses, so the hole is reached with nothing
+// parked behind it; rank 9's later messages may overtake it.  Every flow
+// must stay FIFO, only the lost messages' receives fail, and nothing stays
+// parked.
+TEST(FlowSequencing, ManyPeersReorderedWithLostSeqStayFifo) {
+  constexpr int kPeers = 12;
+  constexpr int kMsgs = 8;
+  constexpr int kQuietLossy = 5;  // pauses after its lost message
+  constexpr int kBusyLossy = 9;   // sends straight on
+  constexpr mpi::Tag kLostTag = 7;
+  testing::BridgedMpiRig rig(1, kPeers, 3, cbp::GatewayPolicy::RoundRobin);
+  int dropped = 0;
+  rig.ib().set_drop_fn([&](const net::Message& m) {
+    const auto* h = net::wire_header(m);
+    if (m.port != net::Port::Mpi || h == nullptr || h->tag != kLostTag)
+      return false;
+    ++dropped;
+    return true;
+  });
+  const auto message = [](int i) {
+    return std::vector<int>(i % 2 == 0 ? 1 : 8192, i);
+  };
+  int lost_recv_errors = 0;
+  std::vector<mpi::EpId> endpoints;
+  rig.run([&](mpi::Mpi& mpi) {
+    const auto& world = mpi.world();
+    std::vector<int> in(8192);
+    if (mpi.rank() == 0) {
+      for (int r = 0; r < world.size(); ++r)
+        endpoints.push_back(world.addr_of(r).ep);
+      for (int i = 0; i < kMsgs; ++i)
+        for (int p = 1; p <= kPeers; ++p)
+          mpi.send<int>(world, p, 0, std::span<const int>(message(i)));
+      for (int p = 1; p <= kPeers; ++p) {
+        for (int i = 0; i < kMsgs; ++i) {
+          mpi.recv<int>(world, p, 0, std::span<int>(in));
+          ASSERT_EQ(in[0], i) << "flow " << p << " -> 0 out of order";
+        }
+      }
+      for (const int p : {kQuietLossy, kBusyLossy}) {
+        try {
+          mpi.recv<int>(world, p, kLostTag, std::span<int>(in));
+        } catch (const mpi::MpiError&) {
+          ++lost_recv_errors;
+        }
+      }
+    } else {
+      for (int i = 0; i < kMsgs; ++i) {
+        mpi.recv<int>(world, 0, 0, std::span<int>(in));
+        ASSERT_EQ(in[0], i) << "flow 0 -> " << mpi.rank() << " out of order";
+      }
+      for (int i = 0; i < kMsgs; ++i) {
+        const bool quiet = mpi.rank() == kQuietLossy;
+        if ((quiet || mpi.rank() == kBusyLossy) && i == kMsgs / 2) {
+          const int lost = -1;
+          mpi.send<int>(world, 0, kLostTag, std::span<const int>(&lost, 1));
+          // Let the messages before the hole land first.
+          if (quiet) mpi.ctx().delay(sim::microseconds(200));
+        }
+        mpi.send<int>(world, 0, 0, std::span<const int>(message(i)));
+      }
+    }
+  });
+  EXPECT_EQ(dropped, 2);
+  EXPECT_EQ(lost_recv_errors, 2);
+  EXPECT_EQ(rig.system().messages_lost(), 2);
+  ASSERT_EQ(endpoints.size(), static_cast<std::size_t>(kPeers + 1));
+  EXPECT_GT(rig.system().endpoint(endpoints[0]).lifetime_parked(), 0u)
+      << "the gateways never reordered rank 0's inbound traffic";
+  for (const mpi::EpId ep : endpoints)
+    EXPECT_EQ(rig.system().endpoint(ep).parked_count(), 0u);
 }
 
 }  // namespace

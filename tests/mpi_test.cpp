@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "io/ionet.hpp"
 #include "mpi_rig.hpp"
 #include "util/error.hpp"
 
@@ -259,6 +262,121 @@ TEST(P2P, DeadlockIsDetected) {
                  mpi.recv<int>(mpi.world(), 1 - mpi.rank(), 0, mspan(v));
                }),
                deep::util::SimError);
+}
+
+// ---------------------------------------------------------------------------
+// Deadlock report wording.  Deadlocked sessions put this text into their
+// fingerprints, so every blocking call's note is pinned byte for byte.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Runs `fn` on `ranks` ranks and returns the deadlock report it ends in.
+std::string deadlock_report(int ranks, const std::function<void(dm::Mpi&)>& fn) {
+  MpiRig rig(ranks);
+  try {
+    rig.run(fn);
+  } catch (const deep::util::SimError& e) {
+    return e.what();
+  }
+  return "(no deadlock)";
+}
+
+}  // namespace
+
+TEST(DeadlockReport, WaitNamesRequestPeerAndTag) {
+  EXPECT_EQ(deadlock_report(2,
+                            [](dm::Mpi& mpi) {
+                              std::vector<int> v(1);
+                              mpi.recv<int>(mpi.world(), 1 - mpi.rank(), 7,
+                                            mspan(v));
+                            }),
+            "simulation deadlock: event queue drained with 2 process(es) "
+            "still blocked:"
+            "\n  rank0 (id=0, waiting): blocked on wait(irecv peer=1 tag=7)"
+            "\n  rank1 (id=1, waiting): blocked on wait(irecv peer=0 tag=7)");
+  // Wildcards drop the field they leave open.
+  EXPECT_EQ(deadlock_report(1,
+                            [](dm::Mpi& mpi) {
+                              std::vector<int> v(1);
+                              mpi.recv<int>(mpi.world(), dm::kAnySource, 5,
+                                            mspan(v));
+                            }),
+            "simulation deadlock: event queue drained with 1 process(es) "
+            "still blocked:"
+            "\n  rank0 (id=0, waiting): blocked on wait(irecv tag=5)");
+}
+
+TEST(DeadlockReport, WaitAnyNamesCountAndFirstRequest) {
+  EXPECT_EQ(deadlock_report(2,
+                            [](dm::Mpi& mpi) {
+                              if (mpi.rank() != 0) return;
+                              std::vector<int> a(1), b(1);
+                              const dm::RequestPtr reqs[] = {
+                                  mpi.irecv<int>(mpi.world(), 1, 3, mspan(a)),
+                                  mpi.irecv<int>(mpi.world(), dm::kAnySource,
+                                                 dm::kAnyTag, mspan(b))};
+                              mpi.wait_any(reqs);
+                            }),
+            "simulation deadlock: event queue drained with 1 process(es) "
+            "still blocked:"
+            "\n  rank0 (id=0, waiting): blocked on wait_any(2 requests, "
+            "first: irecv peer=1 tag=3)");
+}
+
+TEST(DeadlockReport, ProbeNamesSourceAndTag) {
+  EXPECT_EQ(deadlock_report(2,
+                            [](dm::Mpi& mpi) {
+                              if (mpi.rank() == 1) mpi.probe(mpi.world(), 0, 4);
+                            }),
+            "simulation deadlock: event queue drained with 1 process(es) "
+            "still blocked:"
+            "\n  rank1 (id=1, waiting): blocked on probe(src=0, tag=4)");
+}
+
+TEST(DeadlockReport, ClearedNoteNamesNothing) {
+  // Rank 0's wait finished (its note was cleared); it then blocks where no
+  // layer sets a note.
+  EXPECT_EQ(deadlock_report(2,
+                            [](dm::Mpi& mpi) {
+                              std::vector<int> v{1};
+                              if (mpi.rank() == 1) {
+                                mpi.send<int>(mpi.world(), 0, 2, cspan(v));
+                                return;
+                              }
+                              mpi.recv<int>(mpi.world(), 1, 2, mspan(v));
+                              mpi.ctx().suspend();
+                            }),
+            "simulation deadlock: event queue drained with 1 process(es) "
+            "still blocked:"
+            "\n  rank0 (id=0, waiting)");
+}
+
+TEST(DeadlockReport, IoWaitNoteOutlivesTheWait) {
+  // IoNet::wait leaves its note set: a process that later blocks without a
+  // note of its own is still reported as blocked on io.wait.
+  ds::Engine eng;
+  deep::net::CrossbarFabric ib(eng, "ib", {});
+  deep::cbp::DirectTransport transport(ib);
+  deep::io::IoNet io(eng, transport);
+  io.attach(ib.attach(0));
+  io.attach(ib.attach(1));
+  bool ok = false;
+  eng.spawn("client", [&](ds::Context& ctx) {
+    ok = io.transfer(ctx, 0, 1, deep::io::OpKind::FsWrite, 4096, 0);
+    ctx.suspend();
+  });
+  std::string report = "(no deadlock)";
+  try {
+    eng.run();
+  } catch (const deep::util::SimError& e) {
+    report = e.what();
+  }
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(report,
+            "simulation deadlock: event queue drained with 1 process(es) "
+            "still blocked:"
+            "\n  client (id=0, waiting): blocked on io.wait");
 }
 
 // ---------------------------------------------------------------------------

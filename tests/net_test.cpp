@@ -153,6 +153,55 @@ TEST(Crossbar, StatsAccumulate) {
 }
 
 // ---------------------------------------------------------------------------
+// Fabric base: node-indexed NIC table
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// A fabric whose send() checks nothing itself, so the base class's delivery
+// path is what must reject a destination that is not attached.
+class UncheckedFabric final : public dn::Fabric {
+ public:
+  using Fabric::Fabric;
+  void send(dn::Message msg, dn::Service) override {
+    deliver_at(engine_->now() + ds::microseconds(1), std::move(msg));
+  }
+};
+
+}  // namespace
+
+TEST(Fabric, DeliveryToUnattachedNodeIsUsageError) {
+  ds::Engine eng;
+  UncheckedFabric fabric(eng, "raw");
+  fabric.attach(0).bind(dn::Port::Raw, [](dn::Message&&) {});
+  fabric.attach(5);
+  // Beyond the table, a hole inside it, and a negative id.
+  for (const deep::hw::NodeId dst : {99, 3, -1}) {
+    EXPECT_THROW(fabric.send(mk(0, dst, 8), dn::Service::Bulk),
+                 deep::util::UsageError)
+        << "dst " << dst;
+  }
+  EXPECT_EQ(fabric.stats().messages, 0);  // rejected before booking
+  fabric.send(mk(5, 0, 8), dn::Service::Bulk);
+  eng.run();
+  EXPECT_EQ(fabric.stats().messages, 1);
+}
+
+TEST(Fabric, AttachedIdsSortedAndHolesSkipped) {
+  ds::Engine eng;
+  UncheckedFabric fabric(eng, "raw");
+  for (const deep::hw::NodeId node : {7, 2, 4}) fabric.attach(node);
+  EXPECT_EQ(fabric.attached_ids(), (std::vector<deep::hw::NodeId>{2, 4, 7}));
+  EXPECT_TRUE(fabric.attached(4));
+  EXPECT_FALSE(fabric.attached(3));
+  EXPECT_FALSE(fabric.attached(8));
+  EXPECT_FALSE(fabric.attached(-1));
+  EXPECT_THROW(fabric.attach(4), deep::util::UsageError);
+  EXPECT_THROW(fabric.attach(-1), deep::util::UsageError);
+  EXPECT_THROW(fabric.nic(3), deep::util::UsageError);
+}
+
+// ---------------------------------------------------------------------------
 // TorusFabric (EXTOLL model)
 // ---------------------------------------------------------------------------
 
