@@ -270,115 +270,6 @@ const char* pattern_name(Pattern p) {
   return p == Pattern::Stencil ? "stencil" : "spmv";
 }
 
-// ---------------------------------------------------------------------------
-// gateway — the low-lookahead control-plane scenario (speculation showcase).
-//
-// Four partitions of gateway controllers exchange dense replayable control
-// messages directly through the engine (schedule_replayable_on), with the
-// pair lookahead pinned to 1 ns: the declared bound is far below the actual
-// 1 us control-loop latency, so the conservative horizon advances one tick
-// instant at a time and the run is barrier-bound.  Bounded-optimism
-// speculation (set_speculation) runs replayable tails past the horizon and
-// recovers the lost window depth; scripts/check_bench_parallel.sh gates
-// wall(spec off) / wall(spec on) at gate_workers against
-// gateway.spec_floor.  Outcomes are fingerprinted (events, final time, the
-// journaled gw.checksum counter) and must be bit-identical spec on/off at
-// every worker count.
-
-constexpr std::uint32_t kGwParts = 4;
-constexpr int kGwChains = 8;  // control sessions per partition
-constexpr std::int64_t kGwTickPs = 50'000;        // 50 ns control tick
-constexpr std::int64_t kGwDelayPs = 1'000'000;    // 1 us actual cross latency
-constexpr std::int64_t kGwLookaheadPs = 1'000;    // 1 ns declared bound
-constexpr std::int64_t kGwSimPs = 400'000'000;    // 400 us of virtual time
-constexpr int kGwSpin = 150;  // host work per control event
-
-struct GwInstruments {
-  std::int64_t windows = 0;
-  std::int64_t solo_windows = 0;
-  std::int64_t speculated = 0;
-  std::int64_t commits = 0;
-  std::int64_t rollbacks = 0;
-  std::int64_t rollback_events = 0;
-};
-
-struct GwRun {
-  RunResult result;
-  GwInstruments inst;
-};
-
-GwRun run_gateway(std::uint32_t workers, int speculation) {
-  dob::Registry metrics;
-  ds::Engine engine;
-  engine.set_metrics(&metrics);
-  engine.set_partitions(kGwParts);
-  engine.set_workers(workers);
-  engine.set_speculation(speculation);
-  for (std::uint32_t s = 0; s < kGwParts; ++s)
-    for (std::uint32_t d = 0; d < kGwParts; ++d)
-      if (s != d) engine.set_lookahead(s, d, ds::Duration{kGwLookaheadPs});
-
-  // The checksum lives in a journaled counter so speculative rollback
-  // restores it bit-exactly; XOR/user-state accumulators must not be
-  // touched from replayable events.
-  const dob::Counter checksum = metrics.counter("gw.checksum");
-
-  // Raw-pointer capture: a shared_ptr capture would form an ownership
-  // cycle (vector -> function -> vector) and leak one chain set per run.
-  auto ticks = std::make_unique<std::vector<std::function<void()>>>(
-      static_cast<std::size_t>(kGwParts) * kGwChains);
-  auto* tickp = ticks.get();
-  for (std::uint32_t p = 0; p < kGwParts; ++p) {
-    for (int c = 0; c < kGwChains; ++c) {
-      const std::size_t slot = static_cast<std::size_t>(p) * kGwChains + c;
-      (*ticks)[slot] = [&engine, checksum, tickp, p, c, slot] {
-        const std::int64_t now_ps = engine.now().ps;
-        const std::int64_t tick = now_ps / kGwTickPs;
-        checksum.add(static_cast<std::int64_t>(
-            spin(static_cast<std::uint64_t>(now_ps) + slot, kGwSpin) &
-            0xFFFF));
-        // Control message to a rotating peer partition; the 1 us loop
-        // latency is three orders of magnitude above the declared 1 ns
-        // lookahead, so speculated tails almost always validate.
-        const std::uint32_t dst =
-            (p + 1 + static_cast<std::uint32_t>(tick) % (kGwParts - 1)) %
-            kGwParts;
-        const std::uint64_t seed =
-            static_cast<std::uint64_t>(now_ps) * kGwParts + p;
-        engine.schedule_replayable_on(
-            dst, ds::TimePoint{now_ps + kGwDelayPs}, [checksum, seed] {
-              checksum.add(static_cast<std::int64_t>(
-                  spin(seed, kGwSpin / 2) & 0xFFFF));
-            });
-        if (now_ps + kGwTickPs <= kGwSimPs)
-          engine.schedule_replayable_at(engine.now() + ds::Duration{kGwTickPs},
-                                        (*tickp)[slot]);
-      };
-      engine.schedule_replayable_on(p, ds::TimePoint{kGwTickPs},
-                                    (*ticks)[slot]);
-    }
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  engine.run();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  GwRun r;
-  r.result.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.result.events = engine.events_executed();
-  r.result.final_ps = engine.now().ps;
-  r.result.sink = static_cast<std::uint64_t>(metrics.value("gw.checksum"));
-  r.result.windows =
-      metrics.value("sim.windows") + metrics.value("sim.solo_windows");
-  r.inst.windows = metrics.value("sim.windows");
-  r.inst.solo_windows = metrics.value("sim.solo_windows");
-  r.inst.speculated = metrics.value("sim.speculated_events");
-  r.inst.commits = metrics.value("sim.commits");
-  r.inst.rollbacks = metrics.value("sim.rollbacks");
-  r.inst.rollback_events = metrics.value("sim.rollback_events");
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -446,58 +337,6 @@ int main(int argc, char** argv) {
     workloads.push_back(std::move(row));
   }
 
-  // Gateway scenario: conservative vs speculative at each worker count.
-  db::banner(
-      "gateway control plane: conservative vs speculative (1 ns lookahead, "
-      "1 us control latency)");
-  struct GwRow {
-    std::uint32_t workers = 0;
-    GwRun off;
-    GwRun on;
-  };
-  std::vector<GwRow> gw_rows;
-  bool gw_fingerprints = true;
-  double gw_spec_speedup = 0;
-  {
-    du::Table table({"workers", "wall_off_ms", "wall_on_ms", "spec_speedup",
-                     "windows_off", "windows_on", "speculated", "commits",
-                     "rollbacks"});
-    for (const std::uint32_t w : worker_counts) {
-      GwRow row;
-      row.workers = w;
-      row.off = run_gateway(w, 0);
-      row.on = run_gateway(w, ds::Engine::kAutoSpeculation);
-      for (int rep = 1; rep < reps; ++rep) {
-        GwRun off = run_gateway(w, 0);
-        GwRun on = run_gateway(w, ds::Engine::kAutoSpeculation);
-        gw_fingerprints = gw_fingerprints &&
-                          off.result.fingerprint_equal(row.off.result) &&
-                          on.result.fingerprint_equal(row.on.result);
-        if (off.result.wall_ms < row.off.result.wall_ms) row.off = off;
-        if (on.result.wall_ms < row.on.result.wall_ms) row.on = on;
-      }
-      // Spec on/off — and every worker count — must agree bit-for-bit.
-      gw_fingerprints =
-          gw_fingerprints && row.on.result.fingerprint_equal(row.off.result) &&
-          (gw_rows.empty() ||
-           row.off.result.fingerprint_equal(gw_rows[0].off.result));
-      const double sp = row.off.result.wall_ms / row.on.result.wall_ms;
-      if (w == kGateWorkers) gw_spec_speedup = sp;
-      table.row()
-          .add(static_cast<std::int64_t>(w))
-          .add(row.off.result.wall_ms)
-          .add(row.on.result.wall_ms)
-          .add(sp)
-          .add(row.off.inst.windows + row.off.inst.solo_windows)
-          .add(row.on.inst.windows + row.on.inst.solo_windows)
-          .add(row.on.inst.speculated)
-          .add(row.on.inst.commits)
-          .add(row.on.inst.rollbacks);
-      gw_rows.push_back(std::move(row));
-    }
-    db::print_table(table, csv);
-  }
-
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     out << "{\n  \"bench\": \"bench_parallel\",\n";
@@ -532,31 +371,6 @@ int main(int argc, char** argv) {
       out << "    ]}" << (wl + 1 < workloads.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
-    out << "  \"gateway\": {\n";
-    out << "    \"spec_floor\": 1.25, \"gate_workers\": " << kGateWorkers
-        << ",\n";
-    out << "    \"spec_speedup\": " << gw_spec_speedup << ",\n";
-    out << "    \"fingerprints_equal\": "
-        << (gw_fingerprints ? "true" : "false") << ",\n";
-    out << "    \"runs\": [\n";
-    for (std::size_t i = 0; i < gw_rows.size(); ++i) {
-      const GwRow& row = gw_rows[i];
-      out << "      {\"workers\": " << row.workers
-          << ", \"wall_off_ms\": " << row.off.result.wall_ms
-          << ", \"wall_on_ms\": " << row.on.result.wall_ms << ", \"spec_speedup\": "
-          << row.off.result.wall_ms / row.on.result.wall_ms
-          << ", \"events\": " << row.off.result.events
-          << ", \"windows_off\": "
-          << row.off.inst.windows + row.off.inst.solo_windows
-          << ", \"windows_on\": "
-          << row.on.inst.windows + row.on.inst.solo_windows
-          << ", \"speculated_events\": " << row.on.inst.speculated
-          << ", \"commits\": " << row.on.inst.commits
-          << ", \"rollbacks\": " << row.on.inst.rollbacks
-          << ", \"rollback_events\": " << row.on.inst.rollback_events << "}"
-          << (i + 1 < gw_rows.size() ? "," : "") << "\n";
-    }
-    out << "    ]\n  },\n";
     out << "  \"history\": [],\n";
     out << "  \"notes\": \"gate_speedup is min over workloads of the "
            "speedup at gate_workers; scripts/check_bench_parallel.sh "
@@ -567,9 +381,8 @@ int main(int argc, char** argv) {
   }
 
   return db::verdict(
-      "identical simulation outcomes at every worker count and for "
-      "speculation on/off (speedups are recorded for "
-      "scripts/check_bench_parallel.sh, which gates them on multi-core "
-      "hosts)",
-      deterministic && gw_fingerprints);
+      "identical simulation outcomes at every worker count (speedups are "
+      "recorded for scripts/check_bench_parallel.sh, which gates them on "
+      "multi-core hosts)",
+      deterministic);
 }

@@ -1,26 +1,23 @@
 #!/usr/bin/env bash
 # CI speedup gate for the parallel engine (docs/parallel_engine.md).
 #
-# Compares a fresh bench_parallel measurement against the floors recorded in
+# Compares a fresh bench_parallel measurement against the floor recorded in
 # the checked-in baseline (results/BENCH_parallel.json):
+# baseline.speedup_floor, the minimum over workloads of the wall-clock
+# speedup at baseline.gate_workers workers.
 #
-#   * baseline.speedup_floor — the minimum over workloads of the wall-clock
-#     speedup at baseline.gate_workers workers (conservative engine);
-#   * gateway.spec_floor — the wall-clock ratio conservative/speculative at
-#     gate_workers on the low-lookahead gateway scenario (speculation gate).
+# The fingerprint check ("deterministic") is enforced on EVERY host:
+# bit-identical outcomes across worker counts are measurable even on one
+# CPU.
 #
-# Fingerprint checks ("deterministic", gateway.fingerprints_equal) are
-# enforced on EVERY host: bit-identical outcomes across worker counts and
-# for speculation on/off are measurable even on one CPU.
-#
-# The speedup gates only mean something on a machine that can actually run
+# The speedup gate only means something on a machine that can actually run
 # the workers in parallel: when the measurement says "undersubscribed": true
 # (host_cpus < gate_workers), the check warns and exits 0 on a developer
 # machine — a 1-CPU container cannot measure parallel speedup.  In CI
 # (CI=true, which GitHub sets on every runner) an undersubscribed
 # measurement is itself a failure: hosted runners have >= 4 vCPUs, so
 # undersubscription there means the runner shape silently changed and the
-# speedup floors would otherwise be waived forever.
+# speedup floor would otherwise be waived forever.
 #
 # On a passing (or waived) run the check appends a dated entry to the
 # "history" array of the baseline file, so the committed
@@ -57,15 +54,13 @@ with open(sys.argv[2]) as f:
 
 floor = baseline["baseline"]["speedup_floor"]
 gate_workers = baseline["baseline"].get("gate_workers", 4)
-spec_floor = baseline.get("gateway", {}).get("spec_floor", 1.25)
 host_cpus = measured.get("host_cpus", 0)
 undersubscribed = measured.get("undersubscribed", host_cpus < gate_workers)
 speedup = measured.get("gate_speedup")
 deterministic = measured.get("deterministic", False)
-gateway = measured.get("gateway")
 
 print(f"check_bench_parallel: host_cpus={host_cpus} "
-      f"gate_workers={gate_workers} floor={floor} spec_floor={spec_floor}")
+      f"gate_workers={gate_workers} floor={floor}")
 
 # Full per-worker speedup table, so the CI log shows the whole curve and not
 # just the gated point.
@@ -73,38 +68,17 @@ rows = []
 for wl in measured.get("workloads", []):
     for run in wl.get("runs", []):
         rows.append((wl["name"], run["workers"], run["wall_ms"],
-                     run["speedup"], ""))
-for run in (gateway or {}).get("runs", []):
-    rows.append(("gateway", run["workers"], run["wall_off_ms"],
-                 run["spec_speedup"],
-                 f"spec {run['wall_on_ms']:.1f}ms "
-                 f"commits={run['commits']} rollbacks={run['rollbacks']}"))
+                     run["speedup"]))
 if rows:
-    print(f"  {'workload':<10} {'workers':>7} {'wall_ms':>10} "
-          f"{'speedup':>8}  notes")
-    for name, workers, wall, sp, notes in rows:
-        print(f"  {name:<10} {workers:>7} {wall:>10.1f} {sp:>8.2f}  {notes}")
+    print(f"  {'workload':<10} {'workers':>7} {'wall_ms':>10} {'speedup':>8}")
+    for name, workers, wall, sp in rows:
+        print(f"  {name:<10} {workers:>7} {wall:>10.1f} {sp:>8.2f}")
 for wl in measured.get("workloads", []):
     print(f"  {wl['name']}: speedup_at_gate={wl['speedup_at_gate']:.2f}")
 
 if not deterministic:
     print("FAIL: simulation outcomes differ across worker counts")
     sys.exit(1)
-
-if gateway is None:
-    print("FAIL: measurement carries no gateway scenario "
-          "(bench_parallel is out of date)")
-    sys.exit(1)
-
-# Determinism of speculation is gated unconditionally: a fingerprint that
-# diverges between spec on and off at ANY worker count is a correctness bug,
-# not a performance artefact.
-if not gateway.get("fingerprints_equal", False):
-    print("FAIL: gateway fingerprints diverge between speculation on and "
-          "off (or across worker counts)")
-    sys.exit(1)
-
-spec_speedup = gateway.get("spec_speedup")
 
 
 def append_history(status):
@@ -114,7 +88,6 @@ def append_history(status):
         "host_cpus": host_cpus,
         "undersubscribed": bool(undersubscribed),
         "gate_speedup": speedup,
-        "gateway_spec_speedup": spec_speedup,
     }
     baseline.setdefault("history", []).append(entry)
     with open(sys.argv[2], "w") as f:
@@ -127,12 +100,12 @@ if undersubscribed:
     if os.environ.get("CI", "").lower() in ("1", "true", "yes"):
         print(f"FAIL: undersubscribed measurement in CI ({host_cpus} cpu(s) "
               f"< {gate_workers} workers) — hosted runners have >= "
-              f"{gate_workers} vCPUs, so the speedup floors would be waived "
+              f"{gate_workers} vCPUs, so the speedup floor would be waived "
               f"silently; fix the runner shape or the bench invocation")
         sys.exit(1)
     append_history("waived-undersubscribed")
     print(f"SKIP: undersubscribed host ({host_cpus} cpu(s) < "
-          f"{gate_workers} workers) — speedup unmeasurable, gates waived "
+          f"{gate_workers} workers) — speedup unmeasurable, gate waived "
           f"(local run only; CI=true makes this a failure)")
     sys.exit(0)
 
@@ -145,16 +118,6 @@ if speedup < floor:
           f"floor {floor} (min over workloads)")
     sys.exit(1)
 
-if spec_speedup is None:
-    print("FAIL: gateway scenario carries no spec_speedup field")
-    sys.exit(1)
-
-if spec_speedup < spec_floor:
-    print(f"FAIL: gateway speculation speedup {spec_speedup:.2f} < "
-          f"floor {spec_floor} at {gate_workers} workers")
-    sys.exit(1)
-
 append_history("pass")
-print(f"PASS: {gate_workers}-worker speedup {speedup:.2f} >= floor {floor}; "
-      f"gateway speculation {spec_speedup:.2f} >= floor {spec_floor}")
+print(f"PASS: {gate_workers}-worker speedup {speedup:.2f} >= floor {floor}")
 EOF

@@ -267,15 +267,7 @@ class Fabric {
   }
 
   /// Schedules delivery at absolute time `at` and books the statistics.
-  ///
-  /// Fabric deliveries are *not* replayable: the scheduled closure consumes a
-  /// pooled message slot, so it cannot be re-invoked after a speculative
-  /// rollback.  Fabric traffic therefore never originates inside a speculated
-  /// tail — events that send on a fabric must not be marked replayable.
   void deliver_at(sim::TimePoint at, Message msg) {
-    DEEP_ASSERT(!engine_->speculating(),
-                "Fabric::deliver_at: fabric send inside a speculated tail "
-                "(the sending event was wrongly marked replayable)");
     Nic* nic = &this->nic(msg.dst);
     FabricStats& shard = stats_shard();
     shard.messages += 1;

@@ -260,74 +260,6 @@ class Registry {
   void ensure_lanes(std::uint32_t n);
   std::uint32_t lanes() const { return static_cast<std::uint32_t>(lanes_.size()); }
 
-  // -- speculative-tail journaling (engine-internal) --------------------------
-  // Between spec_begin(lane) and spec_commit/spec_rollback, every record on
-  // that lane appends an undo entry; spec_rollback replays the journal in
-  // reverse, restoring the lane's cells bit-exactly.  Lane-confined: call
-  // only from the thread currently executing that lane (the engine calls
-  // spec_begin from the partition's executor and resolves the journal from
-  // the main thread at the next window barrier, which orders the accesses).
-  // When no tail is active the cost at every record site is one predictable
-  // branch on a flag that shares a cache line with the cells being written.
-
-  void spec_begin(std::uint32_t lane) {
-    DEEP_ASSERT(lane < lanes_.size(), "Registry::spec_begin: no such lane");
-    Lane& l = *lanes_[lane];
-    DEEP_ASSERT(!l.journaling, "Registry::spec_begin: journal already open");
-    l.journal.clear();
-    l.journaling = true;
-  }
-
-  /// Stops capturing on `lane` while KEEPING the recorded journal for a
-  /// later spec_commit/spec_rollback.  The engine calls this the moment a
-  /// tail finishes executing: between then and the tail's validation at the
-  /// next plan step, records landing on the lane (e.g. the main thread's
-  /// commit-step counters, which write to whatever lane that thread last
-  /// executed) are committed history and must not be undone with the tail.
-  void spec_hold(std::uint32_t lane) {
-    DEEP_ASSERT(lane < lanes_.size(), "Registry::spec_hold: no such lane");
-    lanes_[lane]->journaling = false;
-  }
-
-  void spec_commit(std::uint32_t lane) {
-    Lane& l = *lanes_[lane];
-    l.journaling = false;
-    l.journal.clear();
-  }
-
-  void spec_rollback(std::uint32_t lane) {
-    Lane& l = *lanes_[lane];
-    l.journaling = false;
-    for (auto it = l.journal.rbegin(); it != l.journal.rend(); ++it) {
-      switch (it->kind) {
-        case Kind::Counter:
-          l.counters[it->slot].value -= it->a;
-          break;
-        case Kind::Gauge: {
-          GaugeCell& g = l.gauges[it->slot];
-          g.value = it->a;
-          g.peak = it->b;
-          break;
-        }
-        case Kind::Histogram: {
-          HistogramCell& h = l.hists[it->slot];
-          --h.count;
-          h.sum -= it->a;
-          --h.buckets[static_cast<std::size_t>(HistogramCell::bucket_of(it->a))];
-          if (h.count == 0) {
-            h.min = 0;
-            h.max = 0;
-          } else {
-            h.min = it->b;
-            h.max = it->c;
-          }
-          break;
-        }
-      }
-    }
-    l.journal.clear();
-  }
-
   /// Reads a registered instrument's primary value by name (counter/gauge
   /// value, histogram count), merged across lanes; 0 when absent.  Slow
   /// path, for tests/reports.
@@ -363,17 +295,6 @@ class Registry {
     std::uint32_t slot;  // index into the per-lane array of this kind
   };
 
-  /// One undo-journal entry (see spec_rollback): for a counter `a` is the
-  /// delta added; for a gauge `a`/`b` are the previous value/peak; for a
-  /// histogram `a` is the recorded sample and `b`/`c` the previous min/max.
-  struct JournalOp {
-    Kind kind;
-    std::uint32_t slot;
-    std::int64_t a;
-    std::int64_t b;
-    std::int64_t c;
-  };
-
   /// One lane's cells, indexed by Entry::slot.  Chunked pointer-stable
   /// storage: growth during registration never relocates cells other lanes
   /// are recording into (see CellStore).
@@ -381,8 +302,6 @@ class Registry {
     CellStore<CounterCell> counters;
     CellStore<GaugeCell> gauges;
     CellStore<HistogramCell> hists;
-    bool journaling = false;      // a speculated tail is recording here
-    std::vector<JournalOp> journal;
   };
 
   // Callers hold mu_.
@@ -415,35 +334,19 @@ class Registry {
 };
 
 inline void Counter::add(std::int64_t v) const {
-  if (reg_) {
-    Registry::Lane& lane = reg_->lane();
-    lane.counters[slot_].value += v;
-    if (lane.journaling)
-      lane.journal.push_back({Registry::Kind::Counter, slot_, v, 0, 0});
-  }
+  if (reg_) reg_->lane().counters[slot_].value += v;
 }
 
 inline void Gauge::set(std::int64_t v) const {
   if (reg_) {
-    Registry::Lane& lane = reg_->lane();
-    GaugeCell& cell = lane.gauges[slot_];
-    if (lane.journaling)
-      lane.journal.push_back(
-          {Registry::Kind::Gauge, slot_, cell.value, cell.peak, 0});
+    GaugeCell& cell = reg_->lane().gauges[slot_];
     cell.value = v;
     if (v > cell.peak) cell.peak = v;
   }
 }
 
 inline void Histogram::record(std::int64_t v) const {
-  if (reg_) {
-    Registry::Lane& lane = reg_->lane();
-    HistogramCell& cell = lane.hists[slot_];
-    if (lane.journaling)
-      lane.journal.push_back(
-          {Registry::Kind::Histogram, slot_, v, cell.min, cell.max});
-    cell.record(v);
-  }
+  if (reg_) reg_->lane().hists[slot_].record(v);
 }
 
 inline void Histogram::merge_from(const Histogram& other) const {

@@ -74,9 +74,6 @@ void Process::wake() {
   DEEP_ASSERT(!engine_.parallel_run_ || engine_.cur_part().id == partition_,
               "Process::wake: cross-partition wake during a parallel run "
               "(deliver it through Engine::schedule_on)");
-  DEEP_ASSERT(!engine_.speculating(),
-              "Process::wake: process interaction inside a speculated tail "
-              "(the event was wrongly marked replayable)");
   wake_pending_ = true;
   if (state_ == State::Waiting) engine_.schedule_resume(*this);
 }
@@ -86,9 +83,6 @@ void Process::request_kill() {
   DEEP_ASSERT(!engine_.parallel_run_ || engine_.cur_part().id == partition_,
               "Process::request_kill: cross-partition kill during a parallel "
               "run (deliver it through Engine::schedule_on)");
-  DEEP_ASSERT(!engine_.speculating(),
-              "Process::request_kill: process interaction inside a speculated "
-              "tail (the event was wrongly marked replayable)");
   kill_requested_ = true;
   // Reuse the wake path: a Waiting process gets a resume event at the
   // current time and unwinds (yield_to_engine throws ProcessKilled) when it
@@ -133,43 +127,33 @@ Engine::Engine() = default;
 
 Engine::~Engine() { kill_all_unfinished(); }
 
-void Engine::schedule_local(Partition& part, TimePoint t, EventFn fn,
-                            bool replayable) {
+void Engine::schedule_local(Partition& part, TimePoint t, EventFn fn) {
   DEEP_EXPECT(t >= part.now, "Engine::schedule_at: time in the past");
-  const std::uint64_t key = part.make_key();
-  part.queue.push(t, key, EventKind::Callback, nullptr, std::move(fn),
-                  replayable);
-  // A speculated tail remembers its local pushes so rollback can remove
-  // them again (the re-executed tail re-creates them with the same keys).
-  if (part.speculating) par_->spec[part.id].pushed.push_back(key);
+  part.queue.push(t, part.make_key(), EventKind::Callback, nullptr,
+                  std::move(fn));
 }
 
 void Engine::schedule_at(TimePoint t, EventFn fn) {
-  schedule_local(cur_part(), t, std::move(fn), /*replayable=*/false);
-}
-
-void Engine::schedule_replayable_at(TimePoint t, EventFn fn) {
-  schedule_local(cur_part(), t, std::move(fn), /*replayable=*/true);
+  schedule_local(cur_part(), t, std::move(fn));
 }
 
 void Engine::schedule_in(Duration d, EventFn fn) {
   schedule_at(now() + d, std::move(fn));
 }
 
-void Engine::schedule_remote(std::uint32_t p, TimePoint t, EventFn fn,
-                             bool replayable) {
+void Engine::schedule_on(std::uint32_t p, TimePoint t, EventFn fn) {
   Partition& dst = partition(p);
   if (!parallel_run_) {
     // Outside a parallel run everything is single-threaded: push straight
     // into the target partition's queue with its own key stream.
     DEEP_EXPECT(t >= dst.now, "Engine::schedule_on: time in the past");
     dst.queue.push(t, dst.make_key(), EventKind::Callback, nullptr,
-                   std::move(fn), replayable);
+                   std::move(fn));
     return;
   }
   Partition& src = cur_part();
   if (&src == &dst) {
-    schedule_local(src, t, std::move(fn), replayable);
+    schedule_local(src, t, std::move(fn));
     return;
   }
   // Conservative correctness: the destination may already be executing
@@ -185,25 +169,9 @@ void Engine::schedule_remote(std::uint32_t p, TimePoint t, EventFn fn,
               "lookahead)");
   // The key comes from the *source* stream at call time: heap order among
   // simultaneous events is then a pure function of the simulation, not of
-  // which window (conservative or speculated) carried the event across.
-  const std::uint64_t key = src.make_key();
-  if (src.speculating) {
-    // Staged: withheld from the destination until the tail validates at the
-    // next plan step; a rollback destroys the send unsent.
-    par_->spec[src.id].staged.push_back(ParallelState::SpecState::Staged{
-        dst.id, t, key, replayable, std::move(fn)});
-    return;
-  }
+  // which window carried the event across.
   par_->ring(src.id, dst.id)
-      .push(ParallelState::CrossEvent{t, key, replayable, std::move(fn)});
-}
-
-void Engine::schedule_on(std::uint32_t p, TimePoint t, EventFn fn) {
-  schedule_remote(p, t, std::move(fn), /*replayable=*/false);
-}
-
-void Engine::schedule_replayable_on(std::uint32_t p, TimePoint t, EventFn fn) {
-  schedule_remote(p, t, std::move(fn), /*replayable=*/true);
+      .push(ParallelState::CrossEvent{t, src.make_key(), std::move(fn)});
 }
 
 void Engine::schedule_on_after(std::uint32_t p, TimePoint t, EventFn fn) {
@@ -230,10 +198,6 @@ void Engine::set_metrics(obs::Registry* metrics) {
     m_solo_windows_ = metrics_->counter("sim.solo_windows");
     m_cross_events_ = metrics_->counter("sim.cross_events");
     m_window_events_ = metrics_->histogram("sim.window_events");
-    m_speculated_events_ = metrics_->counter("sim.speculated_events");
-    m_spec_commits_ = metrics_->counter("sim.commits");
-    m_rollbacks_ = metrics_->counter("sim.rollbacks");
-    m_rollback_events_ = metrics_->counter("sim.rollback_events");
   } else {
     m_events_ = {};
     m_fiber_switches_ = {};
@@ -243,10 +207,6 @@ void Engine::set_metrics(obs::Registry* metrics) {
     m_solo_windows_ = {};
     m_cross_events_ = {};
     m_window_events_ = {};
-    m_speculated_events_ = {};
-    m_spec_commits_ = {};
-    m_rollbacks_ = {};
-    m_rollback_events_ = {};
   }
   m_barrier_wait_.clear();
 }
@@ -275,14 +235,6 @@ void Engine::set_workers(std::uint32_t workers) {
   DEEP_EXPECT(workers >= 1, "Engine::set_workers: need at least one worker");
   DEEP_EXPECT(!running_, "Engine::set_workers: engine is running");
   workers_ = workers;
-}
-
-void Engine::set_speculation(int k) {
-  DEEP_EXPECT(k >= 0 || k == kAutoSpeculation,
-              "Engine::set_speculation: K must be >= 0 (0 = conservative) or "
-              "kAutoSpeculation");
-  DEEP_EXPECT(!running_, "Engine::set_speculation: engine is running");
-  speculation_ = k;
 }
 
 void Engine::set_lookahead(Duration lookahead) {
@@ -341,9 +293,6 @@ Process& Engine::spawn_on(std::uint32_t p, std::string name,
   Partition& part = partition(p);
   DEEP_EXPECT(!parallel_run_ || cur_part().id == p,
               "Engine::spawn_on: cross-partition spawn during a parallel run");
-  DEEP_EXPECT(!speculating(),
-              "Engine::spawn_on: spawn inside a speculated tail (the event "
-              "was wrongly marked replayable)");
   const std::uint64_t id =
       (static_cast<std::uint64_t>(p) << kPartitionShift) |
       part.next_local_pid++;

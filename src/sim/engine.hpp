@@ -268,18 +268,6 @@ class Engine {
   /// (src, dst) pair lookahead.
   void schedule_on(std::uint32_t p, TimePoint t, EventFn fn);
 
-  /// Like schedule_at / schedule_on, but marks the event *replayable*: the
-  /// caller asserts `fn` may be invoked more than once and that its side
-  /// effects are confined to speculation-safe operations — scheduling more
-  /// events, emitting trace records, and recording obs:: instruments.  Only
-  /// replayable events are eligible for speculative window execution
-  /// (set_speculation); everything else bounds the speculated tail.  Events
-  /// that consume captured state (pooled messages), touch process state
-  /// (wake/spawn/kill) or mutate shared fabric bookkeeping must NOT be
-  /// marked replayable.  See docs/parallel_engine.md §Speculative windows.
-  void schedule_replayable_at(TimePoint t, EventFn fn);
-  void schedule_replayable_on(std::uint32_t p, TimePoint t, EventFn fn);
-
   /// Like schedule_on, but clamps `t` up to the destination's current safe
   /// horizon, so the call is always legal from any partition.  Use for
   /// bookkeeping that must reach another partition "as soon as safely
@@ -345,33 +333,6 @@ class Engine {
   /// set, else the global default (Duration{0} when neither is configured).
   Duration lookahead(std::uint32_t src, std::uint32_t dst) const;
 
-  // -- speculation ------------------------------------------------------------
-
-  /// set_speculation(kAutoSpeculation): adapt the window depth K to the
-  /// observed rollback rate (deterministically — the controller sees only
-  /// virtual-time history, never wall clock).
-  static constexpr int kAutoSpeculation = -1;
-
-  /// Bounded-optimism speculative window execution (a bounded Time-Warp
-  /// hybrid, docs/parallel_engine.md §Speculative windows).  With k > 0 each
-  /// partition may run a tail of up to `k` *replayable* events past its
-  /// conservative safe horizon per window; side effects are staged and the
-  /// tail commits — or rolls back and re-executes — at the next plan step,
-  /// so results stay bit-identical to conservative mode at every worker
-  /// count.  k == 0 (the default) is exactly the PR 5/6 conservative engine;
-  /// kAutoSpeculation enables the adaptive controller.  Serial
-  /// (single-partition) runs ignore the setting entirely.
-  void set_speculation(int k);
-  int speculation() const { return speculation_; }
-
-  /// True while the calling thread is executing a speculated tail.  Layers
-  /// whose side effects cannot be rolled back (process wake/kill/spawn,
-  /// fabric link booking) assert on this.
-  bool speculating() const {
-    const ExecTls& tls = t_exec_;
-    return tls.engine == this && tls.part->speculating;
-  }
-
   /// Enables wall-clock instruments (per-worker sim.barrier_wait_ns
   /// histograms).  Off by default because wall-clock values are not
   /// deterministic; purely virtual instruments (sim.windows,
@@ -429,7 +390,6 @@ class Engine {
     std::uint64_t cur_key = 0;        // key of the event being dispatched
     std::uint64_t trace_emit = 0;     // per-partition trace record counter
     TimePoint limit{};                // exclusive window end (parallel runs)
-    bool speculating = false;         // executing a speculated tail right now
     Fiber sched_fiber;                // switch anchor while executing here
     Tracer* active_tracer = nullptr;  // buffer tracer during parallel runs
     std::exception_ptr error;         // first escaped exception this window
@@ -478,10 +438,7 @@ class Engine {
   Fiber& cur_sched() { return cur_part().sched_fiber; }
 
   void dispatch_one(Partition& part);
-  void schedule_local(Partition& part, TimePoint t, EventFn fn,
-                      bool replayable);
-  void schedule_remote(std::uint32_t p, TimePoint t, EventFn fn,
-                       bool replayable);
+  void schedule_local(Partition& part, TimePoint t, EventFn fn);
   void schedule_resume(Process& p);
   void schedule_process(Partition& part, TimePoint t, EventKind kind,
                         Process& p);
@@ -496,11 +453,6 @@ class Engine {
   // remain past `limit` (bounded mode only).
   bool run_windowed(TimePoint limit, bool bounded);
   void exec_partition_window(Partition& part);
-  // Speculative tail of one window (sim/parallel.cpp): runs up to `k`
-  // replayable events past part.limit, staging side effects for the next
-  // plan step's validation.  `cap` bounds event times in bounded runs.
-  void exec_speculative_tail(Partition& part, std::uint32_t k, TimePoint cap,
-                             bool bounded);
 
   // Declared before part0_/extra_ so it is destroyed after them: finishing
   // fibers hand their stacks back to the pool during engine teardown.
@@ -512,7 +464,6 @@ class Engine {
   std::unique_ptr<ParallelState> par_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::uint32_t workers_ = 1;
-  int speculation_ = 0;  // 0 = conservative, > 0 = fixed K, kAutoSpeculation
   Duration lookahead_{};
   std::vector<std::int64_t> pair_la_;  // (src, dst) overrides, -1 = unset
   bool wallclock_metrics_ = false;
@@ -528,10 +479,6 @@ class Engine {
   obs::Counter m_cross_events_;    // sim.cross_events (partition boundary)
   obs::Gauge m_queue_depth_;       // sim.queue_depth (every 64th dispatch)
   obs::Histogram m_window_events_; // sim.window_events (events per window)
-  obs::Counter m_speculated_events_;  // sim.speculated_events (committed)
-  obs::Counter m_spec_commits_;       // sim.commits (validated tails)
-  obs::Counter m_rollbacks_;          // sim.rollbacks (discarded tails)
-  obs::Counter m_rollback_events_;    // sim.rollback_events (re-executed)
   // Per-worker barrier wait (wall clock); only when set_wallclock_metrics.
   std::vector<obs::Histogram> m_barrier_wait_;
 };

@@ -26,7 +26,6 @@
 // every event in the system has a globally unique, reproducible rank that
 // does not depend on worker interleaving (see docs/parallel_engine.md).
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -149,19 +148,15 @@ class EventQueue {
     std::uint64_t key;  // the ordering key it was pushed with
     EventKind kind;
     Process* proc;
-    bool replayable;
     EventFn fn;
   };
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
   TimePoint next_time() const { return heap_.front().t; }
-  /// Whether the earliest queued event is marked replayable (speculation
-  /// candidate, docs/parallel_engine.md); only valid when !empty().
-  bool next_replayable() const { return pool_[heap_.front().slot].replayable; }
 
   void push(TimePoint t, std::uint64_t seq, EventKind kind, Process* proc,
-            EventFn fn, bool replayable = false) {
+            EventFn fn) {
     std::uint32_t slot;
     if (free_.empty()) {
       slot = static_cast<std::uint32_t>(pool_.size());
@@ -173,40 +168,15 @@ class EventQueue {
     Record& r = pool_[slot];
     r.kind = kind;
     r.proc = proc;
-    r.replayable = replayable;
     r.fn = std::move(fn);
     heap_.push_back(Entry{t, seq, slot});
     sift_up(heap_.size() - 1);
   }
 
-  /// Removes every queued entry whose key appears in `keys` (must be sorted
-  /// ascending), destroying the payload and recycling the slot, then
-  /// restores the heap invariant with a bulk heapify.  O(n log k) — used
-  /// only by speculative rollback, which is rare by construction.
-  std::size_t remove_keys(const std::vector<std::uint64_t>& keys) {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-      const Entry e = heap_[i];
-      if (std::binary_search(keys.begin(), keys.end(), e.seq)) {
-        Record& r = pool_[e.slot];
-        r.fn = EventFn{};
-        r.proc = nullptr;
-        free_.push_back(e.slot);
-      } else {
-        heap_[out++] = e;
-      }
-    }
-    const std::size_t removed = heap_.size() - out;
-    heap_.resize(out);
-    for (std::size_t i = (heap_.size() + 2) / 4; i-- > 0;) sift_down(i);
-    return removed;
-  }
-
   Dispatched pop() {
     const Entry top = heap_.front();
     Record& r = pool_[top.slot];
-    Dispatched d{top.t, top.seq, r.kind, r.proc, r.replayable,
-                 std::move(r.fn)};
+    Dispatched d{top.t, top.seq, r.kind, r.proc, std::move(r.fn)};
     free_.push_back(top.slot);
     const Entry last = heap_.back();
     heap_.pop_back();
@@ -225,7 +195,6 @@ class EventQueue {
   };
   struct Record {
     EventKind kind = EventKind::Callback;
-    bool replayable = false;
     Process* proc = nullptr;
     EventFn fn;
   };

@@ -76,68 +76,6 @@ void Engine::exec_partition_window(Partition& part) {
   }
 }
 
-// Speculative tail of one window (docs/parallel_engine.md §Speculative
-// windows): runs up to `k` *replayable* events past part.limit.  Everything
-// the tail does stays partition-confined or is staged: local pushes are
-// recorded (so rollback can remove them), cross-partition sends are withheld
-// in spec.staged instead of entering the rings, trace records land in the
-// partition's buffer past a truncation mark, and instrument updates append
-// to the lane's undo journal.  The main thread validates the tail at the
-// next plan step, while every executor is parked.
-void Engine::exec_speculative_tail(Partition& part, std::uint32_t k,
-                                   TimePoint cap, bool bounded) {
-  ParallelState::SpecState& spec = par_->spec[part.id];
-  DEEP_ASSERT(!spec.pending, "speculative tail: previous tail not validated");
-  if (part.error) return;
-  if (part.queue.empty() || !part.queue.next_replayable()) return;
-  if (bounded && part.queue.next_time() > cap) return;
-  ExecScope scope(this, &part);
-  // Snapshot the committed frontier; rollback restores it exactly.  With
-  // next_seq restored, re-execution assigns the very same keys to the very
-  // same events, which is what keeps results independent of whether an
-  // event committed speculatively or conservatively.
-  spec.now = part.now;
-  spec.next_seq = part.next_seq;
-  spec.events_executed = part.events_executed;
-  spec.cur_key = part.cur_key;
-  spec.trace_emit = part.trace_emit;
-  spec.trace_mark = par_->tracers[part.id].records().size();
-  spec.failed = false;
-  part.speculating = true;
-  if (metrics_) metrics_->spec_begin(part.id);
-  while (spec.tail.size() < k && !part.queue.empty() &&
-         part.queue.next_replayable() &&
-         (!bounded || part.queue.next_time() <= cap)) {
-    spec.tail.push_back(part.queue.pop());
-    EventQueue::Dispatched& ev = spec.tail.back();
-    part.now = ev.t;
-    part.cur_key = ev.key;
-    ++part.events_executed;
-    m_events_.add(1);
-    spec.last_t = ev.t.ps;
-    try {
-      ev.fn();  // invoke() leaves the callable intact for replay
-    } catch (...) {
-      // The same event throws again on conservative re-execution, which is
-      // where the error must surface: force a rollback and let the horizon
-      // reach this event the slow way.
-      spec.failed = true;
-      break;
-    }
-  }
-  part.speculating = false;
-  spec.pending = !spec.tail.empty();
-  if (metrics_) {
-    if (spec.pending)
-      // Keep the journal for a possible rollback but stop capturing: adds
-      // that land on this lane before validation (the main thread's
-      // commit-step counters) belong to committed history.
-      metrics_->spec_hold(part.id);
-    else
-      metrics_->spec_commit(part.id);
-  }
-}
-
 bool Engine::run_windowed(TimePoint limit, bool bounded) {
   const std::uint32_t P = partitions();
   if (!par_) par_ = std::make_unique<ParallelState>(*this);
@@ -194,27 +132,12 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
     m_barrier_wait_[w].record(ns);
   };
 
-  // Speculation setup.  spec_k is written only during the plan step (all
-  // executors parked at the barrier) and read during execution, so it needs
-  // no synchronisation.  The auto controller adapts K to the observed
-  // rollback rate — deterministically: it sees only virtual-schedule
-  // history (which tails committed or rolled back), never the wall clock,
-  // so the trajectory of K is identical at every worker count.
-  const bool spec_auto = speculation_ == kAutoSpeculation;
-  const bool spec_on = spec_auto || speculation_ > 0;
-  std::uint32_t spec_k =
-      spec_auto ? 8 : static_cast<std::uint32_t>(std::max(speculation_, 0));
-  std::uint32_t spec_streak = 0;
-
   auto worker_loop = [&](std::uint32_t w) {
     for (;;) {
       barrier_wait(w);  // window published (or stop)
       if (stop.load(std::memory_order_acquire)) return;
-      for (std::uint32_t p = w; p < P; p += W) {
+      for (std::uint32_t p = w; p < P; p += W)
         exec_partition_window(partition(p));
-        if (spec_on)
-          exec_speculative_tail(partition(p), spec_k, limit, bounded);
-      }
       barrier_wait(w);  // window complete
     }
   };
@@ -234,13 +157,11 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
   };
 
   // Watermark trace flush: each partition's buffered record stream is
-  // non-decreasing in t_ps (rollback truncates the buffer back to the
-  // committed prefix), so every record strictly below the global next-event
-  // floor is final.  Emitting those prefixes merged in (t, key, emit) order
-  // yields a byte stream that is independent of the worker count AND of the
-  // window structure — speculation changes window boundaries, never the
-  // flushed stream — because the concatenation of the flushed batches is
-  // simply the globally sorted record sequence.
+  // non-decreasing in t_ps, so every record strictly below the global
+  // next-event floor is final.  Emitting those prefixes merged in
+  // (t, key, emit) order yields a byte stream that is independent of the
+  // worker count AND of the window structure, because the concatenation of
+  // the flushed batches is simply the globally sorted record sequence.
   auto flush_traces = [&](std::int64_t floor_ps) {
     if (!tracer_) return;
     auto& scratch = par_->merge_scratch;
@@ -271,78 +192,6 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
     scratch.clear();
   };
 
-  // Commits a validated tail: the staged cross-partition sends enter the
-  // destination queues (their source-assigned keys already fix the heap
-  // order), the tail's records are released, and the lane journal is
-  // discarded.
-  auto commit_spec = [&](std::uint32_t p) {
-    ParallelState::SpecState& spec = par_->spec[p];
-    std::int64_t sent = 0;
-    for (auto& s : spec.staged) {
-      Partition& d = partition(s.dst);
-      DEEP_ASSERT(s.t >= d.now,
-                  "speculative commit: staged event in the past");
-      d.queue.push(s.t, s.key, EventKind::Callback, nullptr, std::move(s.fn),
-                   s.replayable);
-      ++sent;
-    }
-    if (sent != 0) m_cross_events_.add(sent);
-    m_speculated_events_.add(static_cast<std::int64_t>(spec.tail.size()));
-    m_spec_commits_.add(1);
-    spec.staged.clear();
-    spec.tail.clear();
-    spec.pushed.clear();
-    spec.pending = false;
-    if (metrics_) metrics_->spec_commit(p);
-  };
-
-  // Rolls a tail back: undoes instruments (lane journal), truncates the
-  // trace buffer, restores the clock/sequence/counter snapshot, re-queues
-  // the tail's events and drops everything the tail created — the creators
-  // re-create those with the very same keys on re-execution, because
-  // next_seq is restored.  The staged sends are destroyed unsent.
-  auto rollback_spec = [&](std::uint32_t p) {
-    ParallelState::SpecState& spec = par_->spec[p];
-    Partition& part = partition(p);
-    if (metrics_) metrics_->spec_rollback(p);
-    if (tracer_) par_->tracers[p].records().resize(spec.trace_mark);
-    part.now = spec.now;
-    part.next_seq = spec.next_seq;
-    part.events_executed = spec.events_executed;
-    part.cur_key = spec.cur_key;
-    part.trace_emit = spec.trace_emit;
-    std::sort(spec.pushed.begin(), spec.pushed.end());
-    auto& executed = par_->spec_scratch;
-    executed.clear();
-    for (auto& ev : spec.tail) {
-      if (std::binary_search(spec.pushed.begin(), spec.pushed.end(),
-                             ev.key)) {
-        // Created by an earlier tail event and already executed: not in the
-        // queue, and its creator re-creates it on replay.
-        executed.push_back(ev.key);
-      } else {
-        part.queue.push(ev.t, ev.key, ev.kind, ev.proc, std::move(ev.fn),
-                        ev.replayable);
-      }
-    }
-    std::sort(executed.begin(), executed.end());
-    // Tail-created events that did not execute are still queued: remove.
-    std::vector<std::uint64_t> remove;
-    std::set_difference(spec.pushed.begin(), spec.pushed.end(),
-                        executed.begin(), executed.end(),
-                        std::back_inserter(remove));
-    const std::size_t removed = part.queue.remove_keys(remove);
-    DEEP_ASSERT(removed == remove.size(),
-                "speculative rollback: tail-created event missing");
-    m_rollbacks_.add(1);
-    m_rollback_events_.add(static_cast<std::int64_t>(spec.tail.size()));
-    spec.staged.clear();
-    spec.tail.clear();
-    spec.pushed.clear();
-    spec.pending = false;
-    spec.failed = false;
-  };
-
   auto sample_queue_depth = [&] {
     std::size_t queued = 0;
     for (std::uint32_t p = 0; p < P; ++p) queued += partition(p).queue.size();
@@ -364,69 +213,22 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
       // assigned from their *source* partition's stream at push time, so the
       // committed order among simultaneous events is a pure function of the
       // simulation — independent of worker interleaving and of which window
-      // (conservative or speculated) carried an event across.
-      auto& min_in = par_->plan_min_in;
-      min_in.assign(P, INT64_MAX);
+      // carried an event across.
       std::int64_t crossed = 0;
       for (std::uint32_t dst = 0; dst < P; ++dst) {
         Partition& d = partition(dst);
-        // While a speculated tail awaits validation, d.now sits at the
-        // speculated frontier; incoming events are validated against the
-        // *committed* frontier (the snapshot) instead.
-        const TimePoint committed =
-            par_->spec[dst].pending ? par_->spec[dst].now : d.now;
         for (std::uint32_t src = 0; src < P; ++src) {
           if (src == dst) continue;
           par_->ring(src, dst).drain([&](ParallelState::CrossEvent&& ev) {
-            DEEP_ASSERT(ev.t >= committed,
+            DEEP_ASSERT(ev.t >= d.now,
                         "parallel engine: cross-partition event in the past");
             d.queue.push(ev.t, ev.key, EventKind::Callback, nullptr,
-                         std::move(ev.fn), ev.replayable);
-            if (ev.t.ps < min_in[dst]) min_in[dst] = ev.t.ps;
+                         std::move(ev.fn));
             ++crossed;
           });
         }
       }
       if (crossed != 0) m_cross_events_.add(crossed);
-
-      // ---- validate speculated tails: commit or roll back ----
-      if (spec_on) {
-        // Staged sends count as incoming even when their own tail rolls
-        // back: re-execution re-creates them identically, so treating them
-        // as arrived is a sound (and deterministic) over-approximation.
-        for (std::uint32_t p = 0; p < P; ++p)
-          for (const auto& s : par_->spec[p].staged)
-            if (s.t.ps < min_in[s.dst]) min_in[s.dst] = s.t.ps;
-        // All rollbacks run before any commit: a commit may flush staged
-        // sends into a partition whose own tail just rolled back, and the
-        // in-the-past check there must see the restored (committed) clock.
-        bool any_rollback = false;
-        bool any_commit = false;
-        for (std::uint32_t p = 0; p < P; ++p) {
-          ParallelState::SpecState& spec = par_->spec[p];
-          if (!spec.pending) continue;
-          // An arrival at or below the speculated frontier invalidates the
-          // tail (at equal times the arrival's key could order first).
-          if (spec.failed || min_in[p] <= spec.last_t) {
-            rollback_spec(p);
-            any_rollback = true;
-          }
-        }
-        for (std::uint32_t p = 0; p < P; ++p) {
-          if (!par_->spec[p].pending) continue;
-          commit_spec(p);
-          any_commit = true;
-        }
-        if (spec_auto) {
-          if (any_rollback) {
-            spec_k = spec_k > 2 ? spec_k / 2 : 1;
-            spec_streak = 0;
-          } else if (any_commit && ++spec_streak >= 16) {
-            spec_k = spec_k < 256 ? spec_k * 2 : 256;
-            spec_streak = 0;
-          }
-        }
-      }
 
       // First escaped process exception wins, by partition id — a
       // deterministic choice because window contents are deterministic.
@@ -450,10 +252,10 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
         events_remain = true;
       }
       if (!have_window) {
-        // Drain the trace buffers: every buffered record is committed (the
-        // validation pass above ran), so the flush completes the globally
-        // sorted stream.  An erroring run drops its uncommitted records,
-        // like a serial run stopping at a throwing event.
+        // Drain the trace buffers: every buffered record is committed, so
+        // the flush completes the globally sorted stream.  An erroring run
+        // drops its buffered records, like a serial run stopping at a
+        // throwing event.
         if (!proc_error) flush_traces(INT64_MAX);
         stop.store(true, std::memory_order_release);
         sync.arrive_and_wait();
@@ -509,9 +311,6 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
         // ---- batched window: a single runnable partition; execute it on
         // the main thread with the workers still parked, skipping both
         // barriers.  Pure function of queue state => worker-independent.
-        // Solo windows never speculate: with every other partition idle
-        // there is no concurrency to win, so the tail (and all its staging
-        // overhead) is skipped entirely.
         m_solo_windows_.add(1);
         exec_partition_window(partition(solo));
         m_window_events_.record(
@@ -522,10 +321,8 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
 
       // ---- execute: all workers, partitions pinned p -> worker p % W ----
       barrier_wait(0);
-      for (std::uint32_t p = 0; p < P; p += W) {
+      for (std::uint32_t p = 0; p < P; p += W)
         exec_partition_window(partition(p));
-        if (spec_on) exec_speculative_tail(partition(p), spec_k, limit, bounded);
-      }
       barrier_wait(0);
 
       // ---- commit: main thread only ----

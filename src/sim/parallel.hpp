@@ -39,8 +39,7 @@ struct Engine::ParallelState {
     TimePoint t;
     std::uint64_t key;  // assigned from the *source* partition's stream at
                         // push time, so heap order never depends on which
-                        // window (or speculation) delivered the event
-    bool replayable;
+                        // window delivered the event
     EventFn fn;
   };
 
@@ -130,36 +129,8 @@ struct Engine::ParallelState {
     std::vector<Rec> recs_;
   };
 
-  /// Per-partition speculative-tail state (docs/parallel_engine.md
-  /// §Speculative windows).  Filled by the partition's executor during the
-  /// window (thread-confined), validated and committed or rolled back by the
-  /// main thread at the next plan step while all executors are parked.
-  struct SpecState {
-    struct Staged {
-      std::uint32_t dst;
-      TimePoint t;
-      std::uint64_t key;
-      bool replayable;
-      EventFn fn;
-    };
-    bool pending = false;      // tail executed, awaiting validation
-    bool failed = false;       // tail threw mid-flight: always roll back
-    std::int64_t last_t = 0;   // latest speculated event time
-    std::vector<EventQueue::Dispatched> tail;  // executed records, in order
-    std::vector<Staged> staged;                // withheld cross-partition sends
-    std::vector<std::uint64_t> pushed;         // keys pushed locally by the tail
-    // Snapshot of the committed frontier, restored on rollback.
-    TimePoint now{};
-    std::uint64_t next_seq = 0;
-    std::size_t events_executed = 0;
-    std::uint64_t cur_key = 0;
-    std::uint64_t trace_emit = 0;
-    std::size_t trace_mark = 0;  // BufferTracer record count at tail start
-  };
-
   explicit ParallelState(Engine& engine) : nparts(engine.partitions()) {
     rings.resize(static_cast<std::size_t>(nparts) * nparts);
-    spec.resize(nparts);
     for (std::uint32_t p = 0; p < nparts; ++p)
       tracers.emplace_back(engine.partition(p));
   }
@@ -173,7 +144,6 @@ struct Engine::ParallelState {
   // in a deque resized once at construction.
   std::deque<CrossRing> rings;
   std::deque<BufferTracer> tracers;  // one per partition, stable addresses
-  std::deque<SpecState> spec;        // one per partition, stable addresses
   std::vector<BufferTracer::Rec> merge_scratch;
 
   // Plan-step scratch (main thread only): the effective (src, dst) pair
@@ -183,8 +153,6 @@ struct Engine::ParallelState {
   std::vector<std::int64_t> plan_next;  // next event time per partition
   std::vector<std::int64_t> plan_lb;    // emission lower bound per partition
   std::vector<char> plan_done;          // lower bound finalised
-  std::vector<std::int64_t> plan_min_in;  // min incoming event time per dst
-  std::vector<std::uint64_t> spec_scratch;  // rollback key bookkeeping
 };
 
 }  // namespace deep::sim

@@ -1,6 +1,8 @@
 #include "svc/jobspec.hpp"
 
 #include <algorithm>
+#include <initializer_list>
+#include <string_view>
 
 namespace deep::svc {
 
@@ -35,6 +37,21 @@ bool read_bool(const Json& j, const char* key, bool& out, Reject& reject) {
   return true;
 }
 
+/// Rejects the first member of object `j` (in key order) that is not in
+/// `known`: a stale or misspelt key must not silently fall back to the
+/// default.  `prefix` is the object's path in the spec ("" or "faults.").
+bool known_keys(const Json& j, std::initializer_list<std::string_view> known,
+                const std::string& prefix, Reject& reject) {
+  for (const auto& member : j.members()) {
+    if (std::find(known.begin(), known.end(), member.first) != known.end())
+      continue;
+    const std::string field = prefix + member.first;
+    reject = {"bad_spec", field, "unknown key '" + field + "'"};
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
@@ -42,6 +59,12 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
     reject = {"bad_spec", "", "spec must be a JSON object"};
     return std::nullopt;
   }
+  if (!known_keys(j,
+                  {"workload", "topology", "adaptive", "cluster", "booster",
+                   "gateways", "procs", "steps", "partitions", "workers",
+                   "metrics", "seed", "faults"},
+                  "", reject))
+    return std::nullopt;
   JobSpec spec;
   if (const Json* w = j.find("workload")) {
     if (!w->is_string()) {
@@ -65,8 +88,6 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
   if (!read_int(j, "steps", spec.steps, reject)) return std::nullopt;
   if (!read_int(j, "partitions", spec.partitions, reject)) return std::nullopt;
   if (!read_int(j, "workers", spec.workers, reject)) return std::nullopt;
-  if (!read_int(j, "speculation", spec.speculation, reject))
-    return std::nullopt;
   if (!read_bool(j, "metrics", spec.metrics, reject)) return std::nullopt;
   if (const Json* s = j.find("seed")) {
     if (!s->is_int()) {
@@ -80,6 +101,9 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
       reject = {"bad_spec", "faults", "'faults' must be an object"};
       return std::nullopt;
     }
+    if (!known_keys(*f, {"drop_probability", "gateways", "links"}, "faults.",
+                    reject))
+      return std::nullopt;
     if (const Json* dp = f->find("drop_probability")) {
       if (!dp->is_number()) {
         reject = {"bad_spec", "faults.drop_probability",
@@ -105,6 +129,9 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
                     "each gateway event needs integer 'at_us' and 'gateway'"};
           return std::nullopt;
         }
+        if (!known_keys(e, {"at_us", "gateway", "up"}, "faults.gateways.",
+                        reject))
+          return std::nullopt;
         ev.at_us = at->as_int();
         ev.gateway = static_cast<int>(gw->as_int());
         ev.up = up != nullptr && up->is_bool() && up->as_bool();
@@ -129,6 +156,8 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
                     "each link event needs integer 'at_us', 'a' and 'b'"};
           return std::nullopt;
         }
+        if (!known_keys(e, {"at_us", "a", "b", "up"}, "faults.links.", reject))
+          return std::nullopt;
         ev.at_us = at->as_int();
         ev.a = static_cast<int>(a->as_int());
         ev.b = static_cast<int>(b->as_int());
@@ -207,11 +236,6 @@ bool JobSpec::validate(Reject& reject) const {
               "more partitions than booster nodes plus one"};
     return false;
   }
-  if (speculation < -1) {
-    reject = {"bad_spec", "speculation",
-              "speculation must be >= 0 or -1 (auto)"};
-    return false;
-  }
   if (faults.drop_probability < 0.0 || faults.drop_probability > 1.0) {
     reject = {"bad_spec", "faults.drop_probability",
               "drop probability must be in [0, 1]"};
@@ -264,7 +288,6 @@ Json JobSpec::to_json() const {
   j.set("steps", steps);
   j.set("partitions", partitions);
   j.set("workers", workers);
-  j.set("speculation", speculation);
   j.set("metrics", metrics);
   j.set("seed", static_cast<std::int64_t>(seed));
   Json f = Json::object();
@@ -303,8 +326,6 @@ sys::SystemConfig JobSpec::to_config() const {
   config.gateways = gateways;
   config.partitions = partitions;
   config.workers = workers;
-  config.speculation = speculation == -1 ? sim::Engine::kAutoSpeculation
-                                         : speculation;
   config.metrics.enabled = metrics;
   if (faults.active()) {
     config.faults.seed = seed * 0x9E3779B97F4A7C15ULL + 1;

@@ -76,13 +76,14 @@ struct JobSpec {
   int steps = 3;
   int partitions = 1;
   int workers = 1;
-  int speculation = 0;  // -1 = auto
   bool metrics = true;
   std::uint64_t seed = 0;  // folded into the fault spec and the cache key
   SpecFaults faults;
 
   /// Parses and validates a spec object ({"workload": ..., ...}).  On
-  /// failure `reject` is filled and nullopt returned; never throws.
+  /// failure `reject` is filled and nullopt returned; never throws.  A key
+  /// to_json() does not write — in the spec, `faults` or a fault event — is
+  /// a bad_spec reject whose field names it.
   static std::optional<JobSpec> from_json(const Json& j, Reject& reject);
 
   /// Parses a spec from raw text (convenience for the wire protocol).

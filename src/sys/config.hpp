@@ -110,14 +110,6 @@ struct SystemConfig {
   /// time (ByPair or Pinned, not RoundRobin).
   int partitions = 1;
 
-  /// Bounded-optimism speculation (sim::Engine::set_speculation): each
-  /// worker may run up to K replayable events past its conservative horizon,
-  /// validated and committed — or rolled back — at the next window barrier.
-  /// 0 (default) is the untouched conservative engine; -1
-  /// (sim::Engine::kAutoSpeculation) adapts K to the observed rollback rate.
-  /// Results stay bit-identical for every value (docs/parallel_engine.md).
-  int speculation = 0;
-
   // Process start-up model for comm_spawn (ParaStation-style tree startup).
   sim::Duration rm_latency = sim::from_micros(200);     // allocation decision
   sim::Duration launch_base = sim::from_micros(500);    // exec + MPI init

@@ -31,15 +31,7 @@ std::string format_report(DeepSystem& system) {
      << system.config().booster_nodes << " booster + "
      << system.config().gateways << " gateways\n";
   os << "engine: " << system.engine().partitions() << " partition(s), "
-     << system.engine().workers() << " worker(s), speculation ";
-  const int spec = system.engine().speculation();
-  if (spec == 0)
-    os << "off";
-  else if (spec == sim::Engine::kAutoSpeculation)
-    os << "auto";
-  else
-    os << "K=" << spec;
-  os << "\n\n";
+     << system.engine().workers() << " worker(s)\n\n";
 
   util::Table fabrics({"fabric", "messages", "bytes", "mean_us", "max_us",
                        "dropped", "links_down"});

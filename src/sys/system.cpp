@@ -119,12 +119,8 @@ DeepSystem::DeepSystem(SystemConfig config) : config_(std::move(config)) {
                 "on every send and requires partitions == 1; use ByPair or "
                 "Pinned");
   }
-  DEEP_EXPECT(config_.speculation >= 0 ||
-                  config_.speculation == sim::Engine::kAutoSpeculation,
-              "DeepSystem: speculation must be >= 0 or kAutoSpeculation");
   engine_.set_partitions(static_cast<std::uint32_t>(config_.partitions));
   engine_.set_workers(static_cast<std::uint32_t>(config_.workers));
-  engine_.set_speculation(config_.speculation);
 
   if (config_.metrics.enabled) {
     // Attach before any layer exists: fabrics, bridge, MPI and the engine

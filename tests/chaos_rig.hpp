@@ -32,9 +32,6 @@ struct ChaosConfig {
   cbp::GatewayPolicy policy = cbp::GatewayPolicy::ByPair;
   cbp::BridgeParams bridge;  // retry/backoff knobs
   int workers = 1;  // engine worker threads; outcomes must not depend on it
-  // Engine::set_speculation value; the rig is single-partition (serial
-  // path), so any value must be byte-identical to the default 0.
-  int speculation = 0;
 };
 
 /// Everything observable about one chaos run.  `trace` plus the scalar
@@ -133,7 +130,6 @@ inline ChaosOutcome run_chaos(const ChaosConfig& cfg,
   sim::Tracer tracer;
   rig.engine().set_tracer(&tracer);
   rig.engine().set_workers(static_cast<std::uint32_t>(cfg.workers));
-  rig.engine().set_speculation(cfg.speculation);
 
   net::FaultPlan plan(rig.engine(), spec);
   plan.attach(rig.ib());

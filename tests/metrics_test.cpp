@@ -11,10 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "chaos_rig.hpp"
@@ -92,70 +89,6 @@ TEST(MetricsDeterminism, SpmvCleanRuns) {
 
 TEST(MetricsDeterminism, SpmvUnderChaos) {
   assert_snapshot_determinism(ChaosWorkload::Spmv, /*chaos=*/true);
-}
-
-/// A small two-partition run whose replayable chains keep the speculative
-/// tails busy; returns the registry snapshot and the speculated-event count.
-std::string run_speculative_snapshot(std::int64_t* speculated) {
-  constexpr std::int64_t kTickPs = 1'000'000;  // 1 us
-  obs::Registry registry;
-  sim::Engine engine;
-  engine.set_metrics(&registry);
-  engine.set_partitions(2);
-  engine.set_workers(2);
-  engine.set_speculation(sim::Engine::kAutoSpeculation);
-  engine.set_lookahead(sim::Duration{kTickPs / 100});
-
-  // Raw-pointer capture: a shared_ptr capture would form an ownership cycle
-  // (array -> function -> array) and leak; the array outlives engine.run.
-  std::array<std::function<void()>, 2> tick_fns;
-  auto* ticks = &tick_fns;
-  for (std::uint32_t p = 0; p < 2; ++p) {
-    (*ticks)[p] = [&engine, ticks, p] {
-      const std::int64_t now_ps = engine.now().ps;
-      const std::int64_t tick = now_ps / kTickPs;
-      if (tick % 4 == 0)
-        engine.schedule_replayable_on(1 - p,
-                                      sim::TimePoint{now_ps + 8 * kTickPs},
-                                      [] {});
-      if (tick < 100)
-        engine.schedule_replayable_at(engine.now() + sim::Duration{kTickPs},
-                                      (*ticks)[p]);
-    };
-    engine.schedule_replayable_on(p, sim::TimePoint{kTickPs}, (*ticks)[p]);
-  }
-  engine.run();
-  *speculated = registry.value("sim.speculated_events");
-  return registry.to_json();
-}
-
-// The four speculation instruments (sim.speculated_events, sim.commits,
-// sim.rollbacks, sim.rollback_events) register on every engine, read zero
-// on the serial path, and are snapshot-deterministic when tails really run.
-TEST(MetricsDeterminism, SpeculationInstruments) {
-  // Serial chaos rig: partitions == 1, so speculation is inert — the
-  // instruments must exist in the snapshot and read zero.
-  ChaosConfig cfg;
-  cfg.seed = 5;
-  cfg.workload = ChaosWorkload::Stencil;
-  cfg.speculation = sim::Engine::kAutoSpeculation;
-  const ChaosOutcome out = run_chaos(cfg, net::FaultSpec{}, true);
-  for (const char* name :
-       {"sim.speculated_events", "sim.commits", "sim.rollbacks",
-        "sim.rollback_events"}) {
-    EXPECT_NE(out.metrics.find(name), std::string::npos)
-        << "snapshot lost instrument " << name;
-  }
-
-  // Parallel replayable run: tails execute, and two identical runs agree on
-  // every instrument byte-for-byte (the counts are virtual-history only).
-  std::int64_t speculated_a = 0, speculated_b = 0;
-  const std::string a = run_speculative_snapshot(&speculated_a);
-  const std::string b = run_speculative_snapshot(&speculated_b);
-  EXPECT_GT(speculated_a, 0);
-  EXPECT_EQ(speculated_a, speculated_b);
-  EXPECT_EQ(a, b) << "speculation instruments diverged between identical "
-                     "runs";
 }
 
 // Attaching the registry must not change the simulation itself: the trace

@@ -74,6 +74,35 @@ TEST(ParallelEngine, TwoPartitionPingPong) {
   }
 }
 
+// A cross-partition event that lands just past the destination's local
+// chain, one tick above the lookahead: partition 0 runs a chain at t = 10,
+// 20, 30 ps while partition 1, busy at t = 10, sends it an event at t = 16
+// from t = 15.  The arrival must slot in between 10 and 20, never be
+// rejected as "in the past".
+TEST(ParallelEngine, CrossEventJustPastLocalChain) {
+  for (const std::uint32_t workers : {1u, 2u}) {
+    ds::Engine engine;
+    engine.set_partitions(2);
+    engine.set_workers(workers);
+    engine.set_lookahead(ds::Duration{1});
+
+    int a_events = 0;
+    int b_events = 0;
+    for (const std::int64_t t : {10, 20, 30})
+      engine.schedule_on(0, ds::TimePoint{t}, [&a_events] { ++a_events; });
+    engine.schedule_on(1, ds::TimePoint{10}, [&b_events] { ++b_events; });
+    engine.schedule_on(1, ds::TimePoint{15}, [&] {
+      ++b_events;
+      engine.schedule_on(0, ds::TimePoint{16}, [&a_events] { ++a_events; });
+    });
+    engine.run();
+
+    EXPECT_EQ(a_events, 4) << "workers=" << workers;
+    EXPECT_EQ(b_events, 2) << "workers=" << workers;
+    EXPECT_EQ(engine.now().ps, 30) << "workers=" << workers;
+  }
+}
+
 TEST(ParallelEngine, RequiresLookahead) {
   ds::Engine engine;
   engine.set_partitions(2);
@@ -764,14 +793,12 @@ TEST(DeepSystemPartitions, SpawnedJobIdenticalAcrossWorkers) {
 
 /// One paper-scale bridged stencil run on a partitioned rig; fingerprint
 /// covers the metrics registry, fabric stats and the final scalars.
-std::string run_paper_scale(int partitions, std::uint32_t workers,
-                            int speculation = 0) {
+std::string run_paper_scale(int partitions, std::uint32_t workers) {
   namespace dt = deep::testing;
   dobs::Registry registry;
   dt::BridgedMpiRig rig(128, 384, 4, deep::cbp::GatewayPolicy::ByPair, {}, {},
                         &registry, partitions);
   rig.engine().set_workers(workers);
-  rig.engine().set_speculation(speculation);
   rig.launch([](deep::mpi::Mpi& mpi) {
     deep::apps::StencilConfig sc;
     sc.nx = 32;
@@ -789,17 +816,10 @@ std::string run_paper_scale(int partitions, std::uint32_t workers,
 }
 
 TEST(PaperScale, BridgedStencilIdenticalAcrossWorkers) {
-  // Partitioned run (4 torus blocks + cluster side), chaos off.  Speculation
-  // on the full machine is exercised too: fabric deliveries are not
-  // replayable, so tails stop at them, but the outcome must stay identical.
+  // Partitioned run (4 torus blocks + cluster side), chaos off.
   const std::string baseline = run_paper_scale(5, 1);
   for (const std::uint32_t workers : {2u, 4u, 8u}) {
     EXPECT_EQ(run_paper_scale(5, workers), baseline) << "workers=" << workers;
-  }
-  for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(run_paper_scale(5, workers, ds::Engine::kAutoSpeculation),
-              baseline)
-        << "workers=" << workers << " (speculation auto)";
   }
 }
 
@@ -827,18 +847,16 @@ TEST(PaperScale, ChaosSweepIdenticalAcrossWorkers) {
 }
 
 // ---------------------------------------------------------------------------
-// Speculative windows (docs/parallel_engine.md §Speculative windows)
+// Low-lookahead cross traffic: declared bound far below the real latency
 // ---------------------------------------------------------------------------
 
-/// Dense replayable control traffic over `partitions` partitions with the
-/// pair lookahead pinned far below the actual cross latency, so speculated
-/// tails carry most of the progress.  `delay_ticks` tunes the rollback rate:
-/// a tight delay forces tails to overrun incoming timestamps and roll back.
+/// Dense cross-partition control traffic over `partitions` partitions with
+/// the pair lookahead pinned at 1/100 of the tick, far below the actual
+/// cross latency of `delay_ticks` ticks, so the conservative horizon
+/// advances in small steps and most windows carry several partitions.
 /// Returns the full fingerprint (trace bytes + metrics JSON + scalars).
-std::string run_replayable_traffic(std::uint32_t partitions,
-                                   std::uint32_t workers, int speculation,
-                                   int delay_ticks,
-                                   std::int64_t* rollbacks = nullptr) {
+std::string run_low_lookahead_traffic(std::uint32_t partitions,
+                                      std::uint32_t workers, int delay_ticks) {
   constexpr int kChains = 2;
   constexpr std::int64_t kTickPs = kUs.ps;
   constexpr int kTicks = 120;
@@ -850,7 +868,6 @@ std::string run_replayable_traffic(std::uint32_t partitions,
   engine.set_tracer(&tracer);
   engine.set_partitions(partitions);
   engine.set_workers(workers);
-  engine.set_speculation(speculation);
   for (std::uint32_t s = 0; s < partitions; ++s)
     for (std::uint32_t d = 0; d < partitions; ++d)
       if (s != d) engine.set_lookahead(s, d, ds::Duration{kTickPs / 100});
@@ -871,166 +888,38 @@ std::string run_replayable_traffic(std::uint32_t partitions,
         checksum.add((now_ps / 1000 + static_cast<std::int64_t>(slot)) %
                      1009);
         if (tick % 10 == 0)
-          engine.tracer()->instant("spec", "tick" + std::to_string(slot),
+          engine.tracer()->instant("traffic", "tick" + std::to_string(slot),
                                    engine.now());
         const std::uint32_t dst =
             (p + 1 + static_cast<std::uint32_t>(tick) % (partitions - 1)) %
             partitions;
         const std::int64_t seed = now_ps + static_cast<std::int64_t>(p);
-        engine.schedule_replayable_on(
-            dst, ds::TimePoint{now_ps + delay_ticks * kTickPs},
-            [checksum, seed] { checksum.add(seed % 997); });
+        engine.schedule_on(dst, ds::TimePoint{now_ps + delay_ticks * kTickPs},
+                           [checksum, seed] { checksum.add(seed % 997); });
         if (tick < kTicks)
-          engine.schedule_replayable_at(
-              engine.now() + ds::Duration{kTickPs}, (*tickp)[slot]);
+          engine.schedule_at(engine.now() + ds::Duration{kTickPs},
+                             (*tickp)[slot]);
       };
-      engine.schedule_replayable_on(p, ds::TimePoint{kTickPs},
-                                    (*ticks)[slot]);
+      engine.schedule_on(p, ds::TimePoint{kTickPs}, (*ticks)[slot]);
     }
   }
   engine.run();
-  if (rollbacks != nullptr) *rollbacks = registry.value("sim.rollbacks");
-  // Window-structure meta-instruments (sim.windows, sim.commits, ...)
-  // legitimately depend on the speculation setting; the *outcome* — trace
-  // bytes, the journaled checksum, event totals, final time — must not.
-  return tracer.to_chrome_json() + "|" +
-         std::to_string(registry.value("test.checksum")) + "|" +
-         std::to_string(registry.value("sim.events")) + "|" +
-         std::to_string(registry.value("sim.cross_events")) + "|" +
+  return tracer.to_chrome_json() + "|" + registry.to_json() + "|" +
          std::to_string(engine.now().ps) + "|" +
          std::to_string(engine.events_executed());
 }
 
-// The tentpole acceptance check: trace bytes, the journaled metrics registry
-// and every scalar are identical for speculation off, fixed-K and adaptive
-// at every worker count — including a configuration whose tails roll back.
-TEST(SpeculativeWindows, ReplayableTrafficIdenticalAcrossWorkersAndSpec) {
-  // Generous 8-tick latency: tails almost always validate.
-  const std::string relaxed =
-      run_replayable_traffic(4, 1, 0, /*delay_ticks=*/8);
-  for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-    for (const int spec : {0, 4, ds::Engine::kAutoSpeculation}) {
-      EXPECT_EQ(run_replayable_traffic(4, workers, spec, 8), relaxed)
-          << "workers=" << workers << " spec=" << spec;
+// Trace bytes, the metrics registry and every scalar are identical at every
+// worker count, both for a generous 8-tick latency and for a tight 2-tick
+// one where arrivals land just past the receiver's local chain.
+TEST(ParallelDeterminism, LowLookaheadCrossTrafficIdenticalAcrossWorkers) {
+  for (const int delay_ticks : {8, 2}) {
+    const std::string baseline = run_low_lookahead_traffic(4, 1, delay_ticks);
+    for (const std::uint32_t workers : {2u, 4u}) {
+      EXPECT_EQ(run_low_lookahead_traffic(4, workers, delay_ticks), baseline)
+          << "workers=" << workers << " delay_ticks=" << delay_ticks;
     }
   }
-}
-
-TEST(SpeculativeWindows, RollbacksPreserveDeterminism) {
-  // 2-tick latency: speculated tails regularly overrun an incoming
-  // timestamp and must rewind; outcomes still match the conservative run.
-  const std::string tight = run_replayable_traffic(4, 1, 0, /*delay_ticks=*/2);
-  std::int64_t rollbacks = 0;
-  bool saw_rollback = false;
-  for (const std::uint32_t workers : {1u, 2u, 4u}) {
-    for (const int spec : {16, ds::Engine::kAutoSpeculation}) {
-      EXPECT_EQ(run_replayable_traffic(4, workers, spec, 2, &rollbacks), tight)
-          << "workers=" << workers << " spec=" << spec;
-      saw_rollback = saw_rollback || rollbacks > 0;
-    }
-  }
-  EXPECT_TRUE(saw_rollback)
-      << "the tight-latency configuration should force at least one "
-         "speculative rollback somewhere in the sweep";
-}
-
-// Explicit set_speculation(0) — and any speculation value on the serial
-// single-partition path — must be byte-identical to a never-configured
-// engine: trace and Registry::to_json() compare equal on the chaos rig's
-// stencil and spmv scenarios.
-TEST(SpeculativeWindows, SpecOffByteIdenticalOnChaosRig) {
-  namespace dt = deep::testing;
-  for (const auto workload :
-       {dt::ChaosWorkload::Stencil, dt::ChaosWorkload::Spmv}) {
-    dt::ChaosConfig cfg;
-    cfg.seed = 11;
-    cfg.workload = workload;
-    const auto spec = dt::make_chaos_spec(cfg.seed, cfg);
-
-    const dt::ChaosOutcome base = dt::run_chaos(cfg, spec, true);
-    cfg.speculation = 0;  // explicit off
-    const dt::ChaosOutcome off = dt::run_chaos(cfg, spec, true);
-    EXPECT_EQ(off.fingerprint(), base.fingerprint());
-    EXPECT_EQ(off.trace, base.trace);
-    EXPECT_EQ(off.metrics, base.metrics);
-    cfg.speculation = ds::Engine::kAutoSpeculation;  // inert on serial path
-    const dt::ChaosOutcome on = dt::run_chaos(cfg, spec, true);
-    EXPECT_EQ(on.fingerprint(), base.fingerprint());
-    EXPECT_EQ(on.metrics, base.metrics);
-  }
-}
-
-// Solo windows never speculate: a partition batching alone on the main
-// thread skips staging entirely, so the speculation instruments stay zero
-// even for a fully replayable chain.
-TEST(SpeculativeWindows, SoloWindowsNeverSpeculate) {
-  dobs::Registry registry;
-  ds::Engine engine;
-  engine.set_metrics(&registry);
-  engine.set_partitions(2);
-  engine.set_workers(2);
-  engine.set_speculation(ds::Engine::kAutoSpeculation);
-  engine.set_lookahead(kUs);
-  auto count = std::make_shared<int>(0);
-  std::function<void(int)> chain = [&](int remaining) {
-    ++*count;
-    if (remaining > 0)
-      engine.schedule_replayable_at(engine.now() + kUs, [&chain, remaining] {
-        chain(remaining - 1);
-      });
-  };
-  engine.schedule_on(0, ds::TimePoint{0}, [&chain] { chain(50); });
-  engine.run();
-  EXPECT_EQ(*count, 51);
-  EXPECT_GT(registry.value("sim.solo_windows"), 0);
-  EXPECT_EQ(registry.value("sim.speculated_events"), 0);
-  EXPECT_EQ(registry.value("sim.commits"), 0);
-  EXPECT_EQ(registry.value("sim.rollbacks"), 0);
-}
-
-// An exception inside a speculated tail rolls the tail back and re-raises
-// on the conservative re-execution: the error surfaces exactly as it does
-// with speculation off.
-TEST(SpeculativeWindows, ThrowInSpeculatedTailSurfacesDeterministically) {
-  for (const int spec : {0, ds::Engine::kAutoSpeculation}) {
-    ds::Engine engine;
-    engine.set_partitions(2);
-    engine.set_workers(2);
-    engine.set_speculation(spec);
-    engine.set_lookahead(ds::Duration{kUs.ps / 100});
-    // A replayable chain keeps partition 0 speculating; partition 1 stays
-    // active so windows are not solo.  The closures capture the array by
-    // raw pointer: a shared_ptr capture would form an ownership cycle
-    // (array -> function -> array) and leak.
-    std::array<std::function<void()>, 2> ticks;
-    for (std::uint32_t p = 0; p < 2; ++p) {
-      auto* tp = &ticks;
-      ticks[p] = [&engine, tp, p] {
-        if (engine.now().ps >= 20 * kUs.ps) {
-          if (p == 0) throw std::runtime_error("speculated boom");
-          return;
-        }
-        engine.schedule_replayable_at(engine.now() + kUs, (*tp)[p]);
-      };
-      engine.schedule_replayable_on(p, ds::TimePoint{kUs.ps}, ticks[p]);
-    }
-    try {
-      engine.run();
-      FAIL() << "expected the event exception to escape (spec=" << spec
-             << ")";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "speculated boom") << "spec=" << spec;
-    }
-  }
-}
-
-TEST(SpeculativeWindows, ConfigGuards) {
-  ds::Engine engine;
-  EXPECT_THROW(engine.set_speculation(-2), du::UsageError);
-  namespace dsy = deep::sys;
-  dsy::SystemConfig cfg;
-  cfg.speculation = -3;
-  EXPECT_THROW(dsy::DeepSystem{cfg}, du::UsageError);
 }
 
 // ---------------------------------------------------------------------------

@@ -286,7 +286,8 @@ TEST(ServiceRejects, DeterministicAndLeakFree) {
       {R"({"booster":0})", "bad_topology"},
       {R"({"procs":9})", "bad_topology"},
       {R"({"partitions":99})", "bad_topology"},
-      {R"({"speculation":-2})", "bad_spec"},
+      {R"({"speculation":8})", "bad_spec"},
+      {R"({"boster":4})", "bad_spec"},
       {R"({"partitions":2,"faults":{"drop_probability":0.5}})",
        "faults_with_partitions"},
       {R"({"workload":)", "bad_json"},
@@ -307,6 +308,36 @@ TEST(ServiceRejects, DeterministicAndLeakFree) {
     EXPECT_EQ(wire.find("report"), std::string::npos) << wire;
     EXPECT_EQ(wire.find("metrics"), std::string::npos) << wire;
   }
+}
+
+// Unknown keys are rejected, never silently dropped: a stale client's
+// retired field or a typo would otherwise run the default job.  The reject
+// names the key by its path, in the spec object, `faults` and each fault
+// event alike.
+TEST(ServiceRejects, UnknownKeyNamesTheField) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"boster":4})", "boster"},
+      {R"({"workload":"spmv","partition":2})", "partition"},
+      {R"({"faults":{"drop_probabilty":0.1}})", "faults.drop_probabilty"},
+      {R"({"faults":{"gateways":[{"at_us":1,"gateway":0,"upp":true}]}})",
+       "faults.gateways.upp"},
+      {R"({"faults":{"links":[{"at_us":1,"a":0,"b":1,"c":2}]}})",
+       "faults.links.c"},
+  };
+  for (const auto& [text, field] : cases) {
+    dsv::Reject reject;
+    EXPECT_FALSE(dsv::JobSpec::from_text(text, reject).has_value()) << text;
+    EXPECT_EQ(reject.code, "bad_spec") << text;
+    EXPECT_EQ(reject.field, field) << text;
+  }
+  // Every key to_json() writes is a known key: specs round-trip.
+  dsv::Reject reject;
+  dsv::JobSpec spec = small_spec("nbody", 3);
+  spec.faults.gateways.push_back({5, 1, false});
+  spec.faults.links.push_back({7, 0, 1, true});
+  const auto back = dsv::JobSpec::from_text(spec_text(spec), reject);
+  ASSERT_TRUE(back.has_value()) << reject.message;
+  EXPECT_EQ(spec_text(*back), spec_text(spec));
 }
 
 TEST(ServiceRejects, QueueSaturationShedsTypedReject) {

@@ -425,8 +425,8 @@ TEST(Report, ContainsAllSections) {
   EXPECT_NE(report.find("dynamic pool"), std::string::npos);
   EXPECT_NE(report.find("GFlop"), std::string::npos);
   // The engine line reports the chosen worker count (the `--workers auto`
-  // resolution is visible here) and the speculation setting.
-  EXPECT_NE(report.find("1 partition(s), 1 worker(s), speculation off"),
+  // resolution is visible here).
+  EXPECT_NE(report.find("1 partition(s), 1 worker(s)\n"),
             std::string::npos)
       << report;
 }

@@ -18,10 +18,6 @@
 //                          into N-1 topology blocks, the cluster side
 //                          stays on partition 0; `auto` derives N from
 //                          the host's core count        (default 1)
-//     --speculate K|auto|off  bounded-optimism speculation: workers run
-//                          up to K replayable events past the horizon,
-//                          rolled back if validation fails; `auto`
-//                          adapts K to the rollback rate  (default off)
 //     --wallclock-metrics  record per-worker barrier-wait histograms
 //                          (wall clock, hence non-deterministic)
 //     --trace FILE         write a Chrome/Perfetto trace
@@ -74,7 +70,6 @@ struct Options {
   int steps = 3;
   std::string workers = "1";     // integer or "auto"
   std::string partitions = "1";  // integer or "auto"
-  std::string speculate = "off";  // integer, "auto" or "off"
   bool wallclock_metrics = false;
   bool static_partitions = false;
   std::string trace_file;
@@ -92,7 +87,7 @@ void usage() {
       "  --adaptive (congestion-aware routing on fattree/dragonfly)\n"
       "  --workload stencil|cholesky|nbody|spmv   --procs N   --steps N\n"
       "  --static-partitions   --workers N|auto   --partitions N|auto\n"
-      "  --speculate K|auto|off   --wallclock-metrics   --trace FILE   --report\n"
+      "  --wallclock-metrics   --trace FILE   --report\n"
       "  --metrics-out FILE (.json|.csv)   --metrics-interval US\n"
       "  --serve (line-delimited JSON service on stdin/stdout; deepsimd is\n"
       "           the full daemon)   --help");
@@ -130,8 +125,6 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.workers = next();
     } else if (arg == "--partitions") {
       opt.partitions = next();
-    } else if (arg == "--speculate") {
-      opt.speculate = next();
     } else if (arg == "--wallclock-metrics") {
       opt.wallclock_metrics = true;
     } else if (arg == "--workload") {
@@ -375,17 +368,6 @@ int main(int argc, char** argv) {
     config.workers = std::atoi(opt.workers.c_str());
     if (config.workers < 1) {
       std::fprintf(stderr, "--workers must be >= 1 or 'auto'\n");
-      return 2;
-    }
-  }
-  if (opt.speculate == "off") {
-    config.speculation = 0;
-  } else if (opt.speculate == "auto") {
-    config.speculation = ds::Engine::kAutoSpeculation;
-  } else {
-    config.speculation = std::atoi(opt.speculate.c_str());
-    if (config.speculation < 1) {
-      std::fprintf(stderr, "--speculate must be >= 1, 'auto' or 'off'\n");
       return 2;
     }
   }
