@@ -1,12 +1,13 @@
 // Topology suite (label: topology): the dragonfly booster fabric, adaptive
 // routing determinism on both the dragonfly and the fat-tree, fault
 // composition (global-link kills reroute, full cuts drop), topology
-// selection through SystemConfig / JobSpec, and worker-count invariance of
-// partitioned runs on the swapped fabrics.  docs/topologies.md is the
-// narrative companion.
+// selection through SystemConfig / JobSpec, and pinned, worker-count
+// invariant outcomes of partitioned runs on all three booster fabrics.
+// docs/topologies.md is the narrative companion.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "net/fattree.hpp"
 #include "net/fault.hpp"
 #include "sim/engine.hpp"
+#include "svc/json.hpp"
 #include "svc/session.hpp"
 #include "sys/config.hpp"
 #include "sys/system.hpp"
@@ -430,63 +432,69 @@ TEST(Session, FatTreeAndDragonflyRunWorkloads) {
 
 namespace {
 
-/// The simulation outcome of a session, excluding presentation: the report
-/// prints the worker count, so worker-invariance compares the virtual-time
-/// observables (checksum, end time, event count, error states).
-std::string outcome(const dsv::SessionResult& r) {
-  return std::to_string(r.ok) + "|" + std::to_string(r.mpi_errors) + "|" +
-         std::to_string(r.checksum) + "|" + std::to_string(r.final_ps) + "|" +
-         std::to_string(r.events) + "|" + r.error;
-}
+/// One pinned cell of the partitioned-session table.
+struct PartitionedPin {
+  const char* topology;
+  const char* workload;
+  std::int64_t final_ps;
+  std::uint64_t events;
+  double checksum;
+  std::uint64_t metrics_fnv;  // fnv1a64 of obs::Registry::to_json()
+};
 
 }  // namespace
 
-TEST(Session, PartitionedDragonflyIsWorkerCountInvariant) {
-  // The production parallel layout over the swapped fabric: booster blocks
-  // from net::auto_partition(dragonfly), pair lookaheads from router
-  // distances.  Outcomes must be identical at every worker count, adaptive
-  // routing included (it degrades deterministically when partitioned).
-  std::string baseline;
-  for (const int workers : {1, 2, 4}) {
-    dsv::JobSpec spec;
-    spec.topology = "dragonfly";
-    spec.adaptive = true;
-    spec.workload = "stencil";
-    spec.cluster = 2;
-    spec.booster = 12;
-    spec.procs = 6;
-    spec.steps = 2;
-    spec.partitions = 3;
-    spec.workers = workers;
-    spec.metrics = false;
-    const dsv::SessionResult r = dsv::run_session(spec);
-    ASSERT_TRUE(r.ok) << "workers=" << workers << ": " << r.error;
-    if (baseline.empty())
-      baseline = outcome(r);
-    else
-      EXPECT_EQ(outcome(r), baseline) << "workers=" << workers;
-  }
-}
-
-TEST(Session, PartitionedFatTreeIsWorkerCountInvariant) {
-  std::string baseline;
-  for (const int workers : {1, 2}) {
-    dsv::JobSpec spec;
-    spec.topology = "fattree";
-    spec.adaptive = true;
-    spec.workload = "spmv";
-    spec.cluster = 2;
-    spec.booster = 12;
-    spec.procs = 6;
-    spec.steps = 2;
-    spec.partitions = 3;
-    spec.workers = workers;
-    spec.metrics = false;
-    const dsv::SessionResult r = dsv::run_session(spec);
-    ASSERT_TRUE(r.ok) << "workers=" << workers << ": " << r.error;
-    if (baseline.empty())
-      baseline = outcome(r);
-    else
-      EXPECT_EQ(outcome(r), baseline) << "workers=" << workers;
+TEST(Session, PartitionedOutcomesArePinned) {
+  // The production parallel layout over every booster fabric: blocks from
+  // net::auto_partition, pair lookaheads from route distances, adaptive
+  // routing requested (it degrades deterministically when partitioned) and
+  // metrics on.  Each cell must give the same outcome at every worker count
+  // AND the recorded one: a change that moves partitioned timing the same
+  // way at every worker count would pass a pure invariance check.
+  const PartitionedPin pins[] = {
+      {"deep", "stencil",
+       16117028277, 3602, 341.17154884338379, 0x1a0f8dc95154522eULL},
+      {"deep", "spmv",
+       950173519, 762, 1.9999999999999996, 0x8ce30ce8a5852ffdULL},
+      {"fattree", "stencil",
+       16116820235, 3653, 341.17154884338379, 0x69bcad4737d49106ULL},
+      {"fattree", "spmv",
+       956023100, 766, 1.9999999999999996, 0xebb6aaba31a1ff55ULL},
+      {"dragonfly", "stencil",
+       16117175569, 3601, 341.17154884338379, 0xdf85ca486a9d28a8ULL},
+      {"dragonfly", "spmv",
+       958878892, 766, 1.9999999999999996, 0xb8e6b9b95197dd80ULL},
+  };
+  for (const PartitionedPin& pin : pins) {
+    std::string first;
+    for (const int workers : {1, 2, 4}) {
+      dsv::JobSpec spec;
+      spec.topology = pin.topology;
+      spec.adaptive = true;
+      spec.workload = pin.workload;
+      spec.cluster = 2;
+      spec.booster = 16;
+      spec.procs = 12;
+      spec.steps = 3;
+      spec.partitions = 3;
+      spec.workers = workers;
+      spec.metrics = true;
+      const dsv::SessionResult r = dsv::run_session(spec);
+      const std::string cell = std::string(pin.topology) + "/" + pin.workload +
+                               " workers=" + std::to_string(workers);
+      ASSERT_TRUE(r.ok) << cell << ": " << r.error;
+      EXPECT_EQ(r.mpi_errors, 0) << cell;
+      EXPECT_EQ(r.final_ps, pin.final_ps) << cell;
+      EXPECT_EQ(r.events, pin.events) << cell;
+      EXPECT_EQ(r.checksum, pin.checksum) << cell;
+      const std::uint64_t metrics_fnv = dsv::fnv1a64(r.metrics_json);
+      EXPECT_EQ(metrics_fnv, pin.metrics_fnv) << cell;
+      const std::string outcome = std::to_string(r.final_ps) + "|" +
+                                  std::to_string(r.events) + "|" +
+                                  std::to_string(r.checksum) + "|" +
+                                  dsv::hex64(metrics_fnv);
+      if (first.empty()) first = outcome;
+      EXPECT_EQ(outcome, first) << cell << " differs from workers=1";
+    }
   }
 }
