@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-#include "net/pool.hpp"
-
 namespace deep::net {
 
 DragonflyFabric::DragonflyFabric(sim::Engine& engine, std::string name,
                                  DragonflyParams params)
-    : Fabric(engine, std::move(name)),
+    : WormholeFabric(engine, std::move(name)),
       params_(params),
       valiant_lane_(util::kMaxLanes, 0) {
   DEEP_EXPECT(params_.groups >= 2, "DragonflyFabric: need at least 2 groups");
@@ -23,17 +21,9 @@ DragonflyFabric::DragonflyFabric(sim::Engine& engine, std::string name,
   capacity_ = total_routers_ * params_.nodes_per_router;
   router_rep_.assign(static_cast<std::size_t>(total_routers_),
                      hw::kInvalidNode);
-  // Pre-create every router-level link slot: the send path must never grow
-  // the map (a rehash would race across partitioned workers).
-  for (int g = 0; g < params_.groups; ++g) {
-    const int base = g * params_.routers_per_group;
-    for (int r1 = 0; r1 < params_.routers_per_group; ++r1)
-      for (int r2 = 0; r2 < params_.routers_per_group; ++r2)
-        if (r1 != r2) link_free_.try_emplace(local_link(base + r1, base + r2));
-  }
-  for (int g1 = 0; g1 < params_.groups; ++g1)
-    for (int g2 = 0; g2 < params_.groups; ++g2)
-      if (g1 != g2) link_free_.try_emplace(global_link(g1, g2));
+  // Every link the fabric can ever use: local, global, then node slots.
+  add_links(static_cast<std::size_t>(global_link(params_.groups, 0)) +
+            2 * static_cast<std::size_t>(capacity_));
   if (auto* metrics = engine_->metrics()) {
     m_global_hops_ = metrics->counter("net." + name_ + ".global_hops");
     m_valiant_ = metrics->counter("net." + name_ + ".valiant_detours");
@@ -41,24 +31,29 @@ DragonflyFabric::DragonflyFabric(sim::Engine& engine, std::string name,
 }
 
 Nic& DragonflyFabric::attach(hw::NodeId node) {
-  DEEP_EXPECT(attached_count_ < capacity_,
+  DEEP_EXPECT(static_cast<int>(attached_count_) < capacity_,
               "DragonflyFabric: fabric is full (groups * routers_per_group * "
               "nodes_per_router nodes)");
   Nic& nic = Fabric::attach(node);
-  const int router = attached_count_++ / params_.nodes_per_router;
-  routers_[node] = router;
+  const int k = static_cast<int>(attached_count_) - 1;
+  const auto slot = static_cast<std::size_t>(node);
+  if (index_of_.size() <= slot) index_of_.resize(slot + 1, -1);
+  index_of_[slot] = k;
+  const int router = k / params_.nodes_per_router;
   auto& rep = router_rep_[static_cast<std::size_t>(router)];
   if (rep == hw::kInvalidNode || node < rep) rep = node;
-  link_free_.try_emplace(node_tx(node));
-  link_free_.try_emplace(node_rx(node));
-  partition_dirty_.store(true, std::memory_order_release);
   return nic;
 }
 
+int DragonflyFabric::index_of(hw::NodeId node) const {
+  DEEP_EXPECT(node >= 0 && static_cast<std::size_t>(node) < index_of_.size() &&
+                  index_of_[static_cast<std::size_t>(node)] >= 0,
+              "DragonflyFabric: node not attached");
+  return index_of_[static_cast<std::size_t>(node)];
+}
+
 int DragonflyFabric::router_of(hw::NodeId node) const {
-  auto it = routers_.find(node);
-  DEEP_EXPECT(it != routers_.end(), "DragonflyFabric: node not attached");
-  return it->second;
+  return index_of(node) / params_.nodes_per_router;
 }
 
 hw::NodeId DragonflyFabric::representative(int router) const {
@@ -194,11 +189,10 @@ bool DragonflyFabric::route_up(hw::NodeId src, hw::NodeId dst) const {
   return alive_path(router_of(src), router_of(dst), unused);
 }
 
-sim::Duration DragonflyFabric::queue_estimate(std::int64_t link) const {
-  const auto it = link_free_.find(link);
-  if (it == link_free_.end()) return sim::Duration{0};
+sim::Duration DragonflyFabric::queue_estimate(LinkId link) const {
+  const sim::TimePoint busy = link_free(link);
   const sim::TimePoint now = engine_->now();
-  return it->second > now ? it->second - now : sim::Duration{0};
+  return busy > now ? busy - now : sim::Duration{0};
 }
 
 DragonflyFabric::Path DragonflyFabric::choose_path(int src_router,
@@ -250,9 +244,11 @@ int DragonflyFabric::hops(hw::NodeId src, hw::NodeId dst) const {
 
 std::vector<std::pair<hw::NodeId, hw::NodeId>> DragonflyFabric::topology_edges()
     const {
-  std::vector<std::pair<hw::NodeId, int>> nodes(routers_.begin(),
-                                                routers_.end());
-  std::sort(nodes.begin(), nodes.end());
+  std::vector<std::pair<hw::NodeId, int>> nodes;
+  for (std::size_t n = 0; n < index_of_.size(); ++n)
+    if (index_of_[n] >= 0)
+      nodes.emplace_back(static_cast<hw::NodeId>(n),
+                         index_of_[n] / params_.nodes_per_router);
   std::vector<std::pair<hw::NodeId, hw::NodeId>> edges;
   // Same-router pairs: the tightest locality.
   for (std::size_t i = 0; i < nodes.size(); ++i)
@@ -284,28 +280,24 @@ std::vector<std::pair<hw::NodeId, hw::NodeId>> DragonflyFabric::topology_edges()
   return edges;
 }
 
-int DragonflyFabric::router_pair_hops(int r1, int r2) const {
-  return minimal_path(r1, r2).routers();
-}
-
 void DragonflyFabric::refresh_partitions() const {
   const std::uint32_t nparts = engine_->partitions();
-  part_present_.assign(nparts, 0);
   pair_hops_.assign(static_cast<std::size_t>(nparts) * nparts, -1);
-  // Routers present per partition (small: total_routers_ entries).
+  // Partitions present per router (small: total_routers_ entries).
   std::vector<std::vector<std::uint32_t>> router_parts(
       static_cast<std::size_t>(total_routers_));
-  for (const auto& [node, router] : routers_) {
-    const std::uint32_t p = partition_of(node);
-    if (p < nparts) part_present_[p] = 1;
-    auto& list = router_parts[static_cast<std::size_t>(router)];
+  for (std::size_t n = 0; n < index_of_.size(); ++n) {
+    if (index_of_[n] < 0) continue;
+    const std::uint32_t p = partition_of(static_cast<hw::NodeId>(n));
+    auto& list = router_parts[static_cast<std::size_t>(
+        index_of_[n] / params_.nodes_per_router)];
     if (std::find(list.begin(), list.end(), p) == list.end()) list.push_back(p);
   }
   for (int r1 = 0; r1 < total_routers_; ++r1) {
     if (router_parts[static_cast<std::size_t>(r1)].empty()) continue;
     for (int r2 = 0; r2 < total_routers_; ++r2) {
       if (router_parts[static_cast<std::size_t>(r2)].empty()) continue;
-      const std::int64_t d = router_pair_hops(r1, r2);
+      const std::int64_t d = minimal_path(r1, r2).routers();
       for (const std::uint32_t p : router_parts[static_cast<std::size_t>(r1)])
         for (const std::uint32_t q :
              router_parts[static_cast<std::size_t>(r2)]) {
@@ -316,42 +308,37 @@ void DragonflyFabric::refresh_partitions() const {
         }
     }
   }
-  partition_dirty_.store(false, std::memory_order_release);
-}
-
-void DragonflyFabric::ensure_partitions() const {
-  if (!partition_dirty_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(partition_mu_);
-  if (partition_dirty_.load(std::memory_order_relaxed)) refresh_partitions();
-}
-
-sim::Duration DragonflyFabric::lookahead(std::uint32_t src_part,
-                                         std::uint32_t dst_part) const {
-  if (!partitioned()) return Fabric::lookahead(src_part, dst_part);
-  if (src_part == dst_part) return sim::kUnconstrainedLookahead;
-  ensure_partitions();
-  const std::uint32_t nparts = engine_->partitions();
-  if (src_part >= nparts || dst_part >= nparts || !part_present_[src_part] ||
-      !part_present_[dst_part])
-    return sim::kUnconstrainedLookahead;
-  const std::int64_t d =
-      pair_hops_[static_cast<std::size_t>(src_part) * nparts + dst_part];
-  if (d < 0) return sim::kUnconstrainedLookahead;
-  return params_.adapter_latency + params_.router_latency * d;
 }
 
 // ---------------------------------------------------------------------------
 // Send
 // ---------------------------------------------------------------------------
 
+DragonflyFabric::Route DragonflyFabric::hops_of(const Message& msg,
+                                                const Path& path) const {
+  // Router and global links are booked only in unpartitioned runs; with
+  // partitions they have no owner (analytic), as choose_path() then reads
+  // no shared link state either.
+  const std::uint32_t router_owner = partitioned() ? kNoOwner : 0;
+  const std::size_t n = static_cast<std::size_t>(path.nhops) + 2;
+  Hop* hop = scratch_hops(n);
+  hop[0] = {node_tx(msg.src), partition_of(msg.src), {}};
+  for (std::size_t i = 0; i + 2 < n; ++i)
+    hop[i + 1] = {hop_link(path.hops[i]), router_owner, {}};
+  hop[n - 1] = {node_rx(msg.dst), partition_of(msg.dst), {}};
+  return {hop, n};
+}
+
+DragonflyFabric::Route DragonflyFabric::route(const Message& msg) const {
+  return hops_of(msg, choose_path(router_of(msg.src), router_of(msg.dst)));
+}
+
 void DragonflyFabric::send(Message msg, Service svc) {
   DEEP_EXPECT(attached(msg.src) && attached(msg.dst),
               "DragonflyFabric::send: endpoint not attached");
   DEEP_EXPECT(msg.size_bytes >= 0, "DragonflyFabric::send: negative size");
   if (faulted(msg)) return;
-  const int src_router = router_of(msg.src);
-  const int dst_router = router_of(msg.dst);
-  const Path path = choose_path(src_router, dst_router);
+  const Path path = choose_path(router_of(msg.src), router_of(msg.dst));
   if (path.valiant) {
     valiant_lane_[util::exec_lane()] += 1;
     m_valiant_.add(1);
@@ -361,64 +348,9 @@ void DragonflyFabric::send(Message msg, Service svc) {
   const sim::Duration latency = params_.adapter_latency +
                                 params_.router_latency * path.routers() +
                                 params_.global_latency * path.globals;
-
-  if (svc == Service::Control) {
-    // Priority virtual channel: latency only, never queued behind bulk.
-    deliver_at(engine_->now() + latency + params_.adapter_latency + wire,
-               std::move(msg));
-    return;
-  }
-
-  if (!partitioned()) {
-    // Serial path: wormhole-reserve every traversed link head to tail.
-    sim::TimePoint head = engine_->now() + latency;
-    head = std::max(head, link_free_.at(node_tx(msg.src)));
-    for (int i = 0; i < path.nhops; ++i)
-      head = std::max(
-          head,
-          link_free_.at(hop_link(path.hops[static_cast<std::size_t>(i)])));
-    head = std::max(head, link_free_.at(node_rx(msg.dst)));
-    const sim::TimePoint tail = head + wire;
-    link_free_.at(node_tx(msg.src)) = tail;
-    for (int i = 0; i < path.nhops; ++i)
-      link_free_.at(hop_link(path.hops[static_cast<std::size_t>(i)])) = tail;
-    link_free_.at(node_rx(msg.dst)) = tail;
-    deliver_at(tail + params_.adapter_latency, std::move(msg));
-    return;
-  }
-
-  // Partitioned: endpoint-segmented booking.  Node links belong to their
-  // endpoint's partition; router and global links are analytic (choose_path
-  // already degraded to minimal routing, which reads no shared link state).
-  ensure_partitions();
-  const std::uint32_t src_part = partition_of(msg.src);
-  const std::uint32_t dst_part = partition_of(msg.dst);
-  sim::TimePoint head = engine_->now() + latency;
-  head = std::max(head, link_free_.at(node_tx(msg.src)));
-
-  if (src_part == dst_part) {
-    head = std::max(head, link_free_.at(node_rx(msg.dst)));
-    const sim::TimePoint tail = head + wire;
-    link_free_.at(node_tx(msg.src)) = tail;
-    link_free_.at(node_rx(msg.dst)) = tail;
-    deliver_at(tail + params_.adapter_latency, std::move(msg));
-    return;
-  }
-
-  // Cross partition: book the source side until its local tail, continue on
-  // the destination partition.  `head` >= now + adapter + router_latency *
-  // minimal routers, which is at or beyond the pair lookahead bound.
-  const sim::TimePoint src_tail = head + wire;
-  link_free_.at(node_tx(msg.src)) = src_tail;
-  engine_->schedule_on(
-      dst_part, head, [this, wire, m = PooledMessage(std::move(msg))]() mutable {
-        Message msg = m.take();
-        sim::TimePoint head = engine_->now();
-        head = std::max(head, link_free_.at(node_rx(msg.dst)));
-        const sim::TimePoint tail = head + wire;
-        link_free_.at(node_rx(msg.dst)) = tail;
-        deliver_at(tail + params_.adapter_latency, std::move(msg));
-      });
+  const Route hops = hops_of(msg, path);
+  transmit(std::move(msg), svc, hops, engine_->now() + latency, wire,
+           params_.adapter_latency);
 }
 
 }  // namespace deep::net

@@ -13,8 +13,8 @@
 //   * Adaptive — UGAL-style: per message, take the Valiant detour when the
 //     minimal path's global link is busier than the detour's two global
 //     links by more than `adaptive_bias`.  The decision keys ONLY on the
-//     simulated link-busy table (link_free_), never on host state or RNG,
-//     so replays are bit-identical at any worker count.
+//     simulated link-busy table, never on host state or RNG, so replays are
+//     bit-identical at any worker count.
 //
 // Faults compose like the torus: router-level links are named by the
 // *representative node* (lowest attached id) of each endpoint router, so
@@ -26,22 +26,21 @@
 // path-diversity story the torus cannot tell: a killed global link reroutes
 // instead of dropping.
 //
-// Wormhole timing follows the fat-tree: the head pays per-router latency
-// (plus the global cable latency per global hop) and queues on busy links;
-// every traversed link is reserved until the tail passes.  Partitioned runs
-// use endpoint-segmented booking: node links belong to their endpoint's
-// partition, router/global links become analytic (latency-only), and
-// adaptive selection deterministically degrades to minimal routing — other
-// partitions' link state must not be read (docs/parallel_engine.md).
+// Wormhole timing follows the fat-tree through the shared core
+// (net/wormhole.hpp), path latency first: the head pays per-router latency
+// (plus the global cable latency per global hop) up front and queues on
+// busy links; every traversed link is reserved until the tail passes.
+// Partitioned runs use endpoint-segmented booking: node links belong to
+// their endpoint's partition, router/global links have no owner (analytic,
+// latency-only), and adaptive selection deterministically degrades to
+// minimal routing — other partitions' link state must not be read
+// (docs/parallel_engine.md).
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
-#include "net/fabric.hpp"
+#include "net/wormhole.hpp"
 
 namespace deep::net {
 
@@ -67,7 +66,7 @@ struct DragonflyParams {
   sim::Duration adaptive_bias = sim::from_nanos(200);
 };
 
-class DragonflyFabric final : public Fabric {
+class DragonflyFabric final : public WormholeFabric {
  public:
   DragonflyFabric(sim::Engine& engine, std::string name,
                   DragonflyParams params);
@@ -106,7 +105,10 @@ class DragonflyFabric final : public Fabric {
   /// lower-bounds every candidate path (Valiant only adds hops), so the
   /// bound holds whatever routing policy is active.
   sim::Duration lookahead(std::uint32_t src_part,
-                          std::uint32_t dst_part) const override;
+                          std::uint32_t dst_part) const override {
+    return hop_lookahead(src_part, dst_part, params_.adapter_latency,
+                         params_.router_latency);
+  }
 
   /// Same-router pairs, an intra-group router chain and the global-link
   /// host adjacency — the locality graph net::auto_partition() grows
@@ -125,9 +127,12 @@ class DragonflyFabric final : public Fabric {
   /// survives the live link-state table; send() then picks that same path.
   bool route_up(hw::NodeId src, hw::NodeId dst) const override;
 
-  void on_node_partition(hw::NodeId, std::uint32_t) override {
-    partition_dirty_.store(true, std::memory_order_release);
-  }
+  /// Node tx, the chosen path's router and global links, node rx.
+  Route route(const Message& msg) const override;
+
+  /// Rebuilds pair_hops_: the minimal router count between the two
+  /// partitions' closest routers.
+  void refresh_partitions() const override;
 
  private:
   /// One candidate route: the router-level hops between src's and dst's
@@ -150,17 +155,24 @@ class DragonflyFabric final : public Fabric {
     }
   };
 
-  std::int64_t node_tx(hw::NodeId n) const { return n * 4; }
-  std::int64_t node_rx(hw::NodeId n) const { return n * 4 + 1; }
-  /// Directed router-level link ids (negative, disjoint from node links).
-  std::int64_t local_link(int r_from, int r_to) const {
-    return -(static_cast<std::int64_t>(r_from) * total_routers_ + r_to + 1);
+  // Link ids, all allocated at construction: directed local links
+  // (r_from, r_to within its group), directed global links, then a tx/rx
+  // pair per node slot in attach order.
+  LinkId local_link(int r_from, int r_to) const {
+    return static_cast<LinkId>(r_from * params_.routers_per_group +
+                               r_to % params_.routers_per_group);
   }
-  std::int64_t global_link(int g_from, int g_to) const {
-    return -(static_cast<std::int64_t>(total_routers_) * total_routers_ +
-             static_cast<std::int64_t>(g_from) * params_.groups + g_to + 1);
+  LinkId global_link(int g_from, int g_to) const {
+    return static_cast<LinkId>(total_routers_ * params_.routers_per_group +
+                               g_from * params_.groups + g_to);
   }
-  std::int64_t hop_link(const Path::Hop& hop) const {
+  LinkId node_tx(hw::NodeId n) const {
+    // global_link(groups, 0) is one past the last global link.
+    return global_link(params_.groups, 0) +
+           static_cast<LinkId>(2 * index_of(n));
+  }
+  LinkId node_rx(hw::NodeId n) const { return node_tx(n) + 1; }
+  LinkId hop_link(const Path::Hop& hop) const {
     return hop.global ? global_link(hop.from / params_.routers_per_group,
                                     hop.to / params_.routers_per_group)
                       : local_link(hop.from, hop.to);
@@ -178,28 +190,20 @@ class DragonflyFabric final : public Fabric {
   /// The path send() takes: routing policy, then fault fallback.
   Path choose_path(int src_router, int dst_router) const;
   /// Estimated queueing delay of a link right now (0 when idle).
-  sim::Duration queue_estimate(std::int64_t link) const;
+  sim::Duration queue_estimate(LinkId link) const;
+  /// The core's route for `msg` over `path`.
+  Route hops_of(const Message& msg, const Path& path) const;
 
-  void ensure_partitions() const;
-  void refresh_partitions() const;
-  int router_pair_hops(int r1, int r2) const;
+  /// The node's attach order (its router is index / nodes_per_router).
+  int index_of(hw::NodeId node) const;
 
   DragonflyParams params_;
   int total_routers_ = 0;
   int capacity_ = 0;
-  std::unordered_map<hw::NodeId, int> routers_;    // node -> router index
+  std::vector<int> index_of_;                      // node -> attach order
   std::vector<hw::NodeId> router_rep_;             // router -> lowest node
-  // Link booking: every router-level slot is created in the constructor and
-  // node slots at attach, so the partitioned send path never rehashes.
-  std::unordered_map<std::int64_t, sim::TimePoint> link_free_;
-  int attached_count_ = 0;
   // Per-lane Valiant counters (summed on read; lanes never share a window).
   mutable std::vector<std::int64_t> valiant_lane_;
-  // Partition geometry (lazy, guarded like TorusFabric's).
-  mutable std::vector<char> part_present_;
-  mutable std::vector<std::int64_t> pair_hops_;  // P*P min routers, -1 = none
-  mutable std::atomic<bool> partition_dirty_{false};
-  mutable std::mutex partition_mu_;
   obs::Counter m_global_hops_;  // global-link traversals
   obs::Counter m_valiant_;      // Valiant detours taken
 };

@@ -12,12 +12,13 @@
 // the fault path costs one branch per send.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,10 +71,14 @@ class Fabric {
   virtual Nic& attach(hw::NodeId node) {
     DEEP_EXPECT(node >= 0, "Fabric::attach: negative node id");
     const auto slot = static_cast<std::size_t>(node);
-    if (slot >= nics_.size()) nics_.resize(slot + 1);
+    if (slot >= nics_.size()) {
+      nics_.resize(slot + 1);
+      node_partition_.resize(slot + 1, kUnassigned);
+    }
     DEEP_EXPECT(nics_[slot] == nullptr, "Fabric::attach: node already attached");
     nics_[slot] = std::make_unique<Nic>(node);
     ++attached_count_;
+    partition_dirty_.store(true, std::memory_order_release);
     return *nics_[slot];
   }
 
@@ -102,11 +107,12 @@ class Fabric {
   /// Per-partition-pair lower bound: no send() executing on partition
   /// `src_part` schedules anything onto partition `dst_part` earlier than
   /// now() + lookahead(src_part, dst_part).  Topology-aware fabrics (torus,
-  /// fat tree) tighten this with actual route distance; the base promise is
-  /// the uniform lookahead when both partitions have nodes on this fabric
-  /// and "unconstrained" when either has none (such pairs never interact
-  /// through this fabric).  net::install_pair_lookahead() folds the per-pair
-  /// minima over all fabrics into the engine.
+  /// fat tree, dragonfly) tighten this with route distance (hop_lookahead);
+  /// the base promise is the uniform lookahead when both partitions have
+  /// nodes on this fabric and "unconstrained" when either has none (such
+  /// pairs never interact through this fabric).
+  /// net::install_pair_lookahead() folds the per-pair minima over all
+  /// fabrics into the engine.
   virtual sim::Duration lookahead(std::uint32_t src_part,
                                   std::uint32_t dst_part) const {
     if (src_part == dst_part || !has_partition_nodes(src_part) ||
@@ -133,30 +139,30 @@ class Fabric {
     DEEP_EXPECT(attached(node), "Fabric::set_node_partition: not attached");
     DEEP_EXPECT(p < engine_->partitions(),
                 "Fabric::set_node_partition: no such partition");
-    auto [it, inserted] = node_partition_.try_emplace(node, p);
-    if (!inserted) it->second = p;
-    on_node_partition(node, p);
+    std::uint32_t& slot = node_partition_[static_cast<std::size_t>(node)];
+    if (slot == kUnassigned) ++assigned_count_;
+    slot = p;
+    partition_dirty_.store(true, std::memory_order_release);
   }
 
   /// The partition `node`'s NIC events run on (0 unless assigned).
   std::uint32_t partition_of(hw::NodeId node) const {
-    auto it = node_partition_.find(node);
-    return it == node_partition_.end() ? 0 : it->second;
+    const auto slot = static_cast<std::size_t>(node);
+    if (node < 0 || slot >= node_partition_.size()) return 0;
+    const std::uint32_t p = node_partition_[slot];
+    return p == kUnassigned ? 0 : p;
   }
 
   /// True once any node has an explicit partition assignment.
-  bool partitioned() const { return !node_partition_.empty(); }
+  bool partitioned() const { return assigned_count_ > 0; }
 
   /// True when at least one attached node lives on partition `p`.
   bool has_partition_nodes(std::uint32_t p) const {
-    std::size_t assigned = 0;
-    for (const auto& [node, part] : node_partition_) {
-      (void)node;
-      if (part == p) return true;
-      ++assigned;
-    }
+    if (p != kUnassigned)
+      for (const std::uint32_t part : node_partition_)
+        if (part == p) return true;
     // Unassigned nodes default to partition 0.
-    return p == 0 && assigned < attached_count_;
+    return p == 0 && assigned_count_ < attached_count_;
   }
 
   // -- topology introspection (for auto-partitioning) -------------------------
@@ -219,11 +225,42 @@ class Fabric {
   }
 
  protected:
-  /// Hook for subclasses that cache partition-derived state (the torus
-  /// rebuilds its coordinate-ownership map).  Called under set_node_partition.
-  virtual void on_node_partition(hw::NodeId node, std::uint32_t p) {
-    (void)node;
-    (void)p;
+  // -- partition geometry (lazy) ----------------------------------------------
+
+  /// Rebuilds the fabric's partition geometry from the node partitions:
+  /// unit_owner_, the partition owning each of the fabric's ownership units
+  /// (torus coordinates, fat-tree leaves; kNoOwner when shared), and
+  /// pair_hops_, the P*P matrix of route distances between partitions (-1
+  /// where no route joins the pair).  Runs lazily, once after any attach or
+  /// set_node_partition, and only in partitioned runs.
+  virtual void refresh_partitions() const {}
+
+  /// Owner of a unit, or of a link, that no partition books.
+  static constexpr std::uint32_t kNoOwner = 0xFFFFFFFFu;
+
+  /// The partition owning ownership unit `unit` (0 when unpartitioned: a
+  /// serial run never builds the geometry).
+  std::uint32_t unit_owner(std::size_t unit) const {
+    if (!partitioned()) return 0;
+    ensure_partitions();
+    return unit_owner_[unit];
+  }
+
+  /// Route-distance pair lookahead, floor + step * pair_hops_(src, dst):
+  /// the cheapest delivery between the two partitions' closest points.
+  /// Unpartitioned fabrics keep the base uniform promise.
+  sim::Duration hop_lookahead(std::uint32_t src_part, std::uint32_t dst_part,
+                              sim::Duration floor, sim::Duration step) const {
+    if (!partitioned()) return Fabric::lookahead(src_part, dst_part);
+    if (src_part == dst_part) return sim::kUnconstrainedLookahead;
+    ensure_partitions();
+    const std::uint32_t nparts = engine_->partitions();
+    if (src_part >= nparts || dst_part >= nparts)
+      return sim::kUnconstrainedLookahead;
+    const std::int64_t d =
+        pair_hops_[static_cast<std::size_t>(src_part) * nparts + dst_part];
+    if (d < 0) return sim::kUnconstrainedLookahead;
+    return floor + step * d;
   }
 
   /// This execution lane's statistics shard.  A partition's events run on
@@ -285,7 +322,7 @@ class Fabric {
     // Park the message in a pooled slot: the capture is {Nic*, PooledMessage}
     // (16 bytes), so the event fits the engine's inline buffer and the whole
     // schedule-deliver round trip allocates nothing in steady state.
-    if (node_partition_.empty()) {
+    if (!partitioned()) {
       // Unpartitioned fabric: historical path, bit-identical scheduling.
       engine_->schedule_at(at,
                            [nic, m = PooledMessage(std::move(msg))]() mutable {
@@ -305,18 +342,38 @@ class Fabric {
   std::size_t attached_count_ = 0;
   std::vector<FabricStats> shards_ =
       std::vector<FabricStats>(util::kMaxLanes);  // indexed by execution lane
-  std::unordered_map<hw::NodeId, std::uint32_t> node_partition_;
+  // Partition geometry, filled by refresh_partitions().
+  mutable std::vector<std::uint32_t> unit_owner_;
+  mutable std::vector<std::int64_t> pair_hops_;
   obs::Counter m_messages_;
   obs::Counter m_bytes_;
   obs::Counter m_dropped_;
   obs::Histogram m_delivery_ns_;
 
  private:
+  static constexpr std::uint32_t kUnassigned = 0xFFFFFFFFu;
+
+  /// refresh_partitions() if anything changed since the last one.  Normally
+  /// first reached on the main thread (install_pair_lookahead queries
+  /// lookahead(p, q) before the run); the mutex covers a stray first query
+  /// racing across lanes.
+  void ensure_partitions() const {
+    if (!partition_dirty_.load(std::memory_order_acquire)) return;
+    std::lock_guard<std::mutex> lock(partition_mu_);
+    if (!partition_dirty_.load(std::memory_order_relaxed)) return;
+    refresh_partitions();
+    partition_dirty_.store(false, std::memory_order_release);
+  }
+
   static std::pair<hw::NodeId, hw::NodeId> link_pair(hw::NodeId a,
                                                      hw::NodeId b) {
     return a <= b ? std::pair{a, b} : std::pair{b, a};
   }
 
+  std::vector<std::uint32_t> node_partition_;  // by node; kUnassigned if not
+  std::size_t assigned_count_ = 0;             // explicitly assigned nodes
+  mutable std::atomic<bool> partition_dirty_{false};
+  mutable std::mutex partition_mu_;
   std::set<std::pair<hw::NodeId, hw::NodeId>> down_links_;
   DropFn drop_fn_;
   DropHandler drop_handler_;

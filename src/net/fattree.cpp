@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-#include "net/pool.hpp"
-
 namespace deep::net {
 
 FatTreeFabric::FatTreeFabric(sim::Engine& engine, std::string name,
                              FatTreeParams params)
-    : Fabric(engine, std::move(name)), params_(params) {
+    : WormholeFabric(engine, std::move(name)), params_(params) {
   DEEP_EXPECT(params_.leaf_radix >= 1, "FatTreeFabric: leaf_radix must be >= 1");
   DEEP_EXPECT(params_.uplinks >= 1 && params_.uplinks <= params_.leaf_radix,
               "FatTreeFabric: uplinks must be in [1, leaf_radix]");
@@ -18,24 +16,25 @@ FatTreeFabric::FatTreeFabric(sim::Engine& engine, std::string name,
 
 Nic& FatTreeFabric::attach(hw::NodeId node) {
   Nic& nic = Fabric::attach(node);
-  const int leaf = attached_count_++ / params_.leaf_radix;
-  leaves_[node] = leaf;
-  // Pre-create every link slot this node can touch: the partitioned send
-  // path must never grow the map (a rehash would race across workers).
-  link_free_.try_emplace(node_tx(node));
-  link_free_.try_emplace(node_rx(node));
-  for (int u = 0; u < params_.uplinks; ++u) {
-    link_free_.try_emplace(trunk(leaf, u, Dir::Up));
-    link_free_.try_emplace(trunk(leaf, u, Dir::Down));
-  }
-  partition_dirty_.store(true, std::memory_order_release);
+  const int k = static_cast<int>(attached_count_) - 1;
+  const auto slot = static_cast<std::size_t>(node);
+  if (index_of_.size() <= slot) index_of_.resize(slot + 1, -1);
+  index_of_[slot] = k;
+  // A new leaf brings its whole link block (trunks and node slots).
+  if (k % params_.leaf_radix == 0)
+    add_links(2 * static_cast<std::size_t>(params_.uplinks + params_.leaf_radix));
   return nic;
 }
 
+int FatTreeFabric::index_of(hw::NodeId node) const {
+  DEEP_EXPECT(node >= 0 && static_cast<std::size_t>(node) < index_of_.size() &&
+                  index_of_[static_cast<std::size_t>(node)] >= 0,
+              "FatTreeFabric: node not attached");
+  return index_of_[static_cast<std::size_t>(node)];
+}
+
 int FatTreeFabric::leaf_of(hw::NodeId node) const {
-  auto it = leaves_.find(node);
-  DEEP_EXPECT(it != leaves_.end(), "FatTreeFabric: node not attached");
-  return it->second;
+  return index_of(node) / params_.leaf_radix;
 }
 
 int FatTreeFabric::hops(hw::NodeId src, hw::NodeId dst) const {
@@ -45,8 +44,11 @@ int FatTreeFabric::hops(hw::NodeId src, hw::NodeId dst) const {
 std::vector<std::pair<hw::NodeId, hw::NodeId>> FatTreeFabric::topology_edges()
     const {
   // Same-leaf pairs: the only locality a two-level tree has.
-  std::vector<std::pair<hw::NodeId, int>> nodes(leaves_.begin(), leaves_.end());
-  std::sort(nodes.begin(), nodes.end());
+  std::vector<std::pair<hw::NodeId, int>> nodes;
+  for (std::size_t n = 0; n < index_of_.size(); ++n)
+    if (index_of_[n] >= 0)
+      nodes.emplace_back(static_cast<hw::NodeId>(n),
+                         index_of_[n] / params_.leaf_radix);
   std::vector<std::pair<hw::NodeId, hw::NodeId>> edges;
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j)
@@ -56,79 +58,49 @@ std::vector<std::pair<hw::NodeId, hw::NodeId>> FatTreeFabric::topology_edges()
 }
 
 void FatTreeFabric::refresh_partitions() const {
-  const int nleaves =
-      (attached_count_ + params_.leaf_radix - 1) / params_.leaf_radix;
   const std::uint32_t nparts = engine_->partitions();
-  leaf_part_.assign(static_cast<std::size_t>(std::max(nleaves, 1)), kMixedLeaf);
-  part_present_.assign(nparts, 0);
-  std::vector<char> leaf_seen(leaf_part_.size(), 0);
-  pair_share_leaf_.assign(static_cast<std::size_t>(nparts) * nparts, 0);
+  const int nleaves = (static_cast<int>(attached_count_) + params_.leaf_radix -
+                       1) / params_.leaf_radix;
+  unit_owner_.assign(static_cast<std::size_t>(std::max(nleaves, 1)), kNoOwner);
+  std::vector<char> present(nparts, 0);
   // Per-leaf member partitions (leaves are small: leaf_radix nodes).
-  std::vector<std::vector<std::uint32_t>> members(leaf_part_.size());
-  for (const auto& [node, leaf] : leaves_) {
-    const std::uint32_t p = partition_of(node);
-    if (p < nparts) part_present_[p] = 1;
-    members[leaf].push_back(p);
+  std::vector<std::vector<std::uint32_t>> members(unit_owner_.size());
+  for (std::size_t n = 0; n < index_of_.size(); ++n) {
+    if (index_of_[n] < 0) continue;
+    const std::uint32_t p = partition_of(static_cast<hw::NodeId>(n));
+    if (p < nparts) present[p] = 1;
+    members[static_cast<std::size_t>(index_of_[n] / params_.leaf_radix)]
+        .push_back(p);
   }
+  // Partitions with nodes here are three switches apart, one when they
+  // share a leaf.
+  pair_hops_.assign(static_cast<std::size_t>(nparts) * nparts, -1);
+  for (std::uint32_t p = 0; p < nparts; ++p)
+    for (std::uint32_t q = 0; q < nparts; ++q)
+      if (present[p] && present[q])
+        pair_hops_[static_cast<std::size_t>(p) * nparts + q] = 3;
   for (std::size_t leaf = 0; leaf < members.size(); ++leaf) {
     if (members[leaf].empty()) continue;
-    leaf_seen[leaf] = 1;
     std::uint32_t owner = members[leaf].front();
     for (const std::uint32_t p : members[leaf]) {
-      if (p != owner) owner = kMixedLeaf;
+      if (p != owner) owner = kNoOwner;
       for (const std::uint32_t q : members[leaf])
         if (p != q && p < nparts && q < nparts)
-          pair_share_leaf_[static_cast<std::size_t>(p) * nparts + q] = 1;
+          pair_hops_[static_cast<std::size_t>(p) * nparts + q] = 1;
     }
-    leaf_part_[leaf] = owner;
+    unit_owner_[leaf] = owner;
   }
-  partition_dirty_.store(false, std::memory_order_release);
 }
 
-void FatTreeFabric::ensure_partitions() const {
-  if (!partition_dirty_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(partition_mu_);
-  if (partition_dirty_.load(std::memory_order_relaxed)) refresh_partitions();
-}
-
-sim::Duration FatTreeFabric::lookahead(std::uint32_t src_part,
-                                       std::uint32_t dst_part) const {
-  if (!partitioned()) return Fabric::lookahead(src_part, dst_part);
-  if (src_part == dst_part) return sim::kUnconstrainedLookahead;
-  ensure_partitions();
-  const std::uint32_t nparts = engine_->partitions();
-  if (src_part >= nparts || dst_part >= nparts || !part_present_[src_part] ||
-      !part_present_[dst_part])
-    return sim::kUnconstrainedLookahead;
-  const bool share =
-      pair_share_leaf_[static_cast<std::size_t>(src_part) * nparts + dst_part] !=
-      0;
-  return params_.adapter_latency + params_.switch_latency * (share ? 1 : 3);
-}
-
-void FatTreeFabric::send(Message msg, Service svc) {
-  DEEP_EXPECT(attached(msg.src) && attached(msg.dst),
-              "FatTreeFabric::send: endpoint not attached");
-  DEEP_EXPECT(msg.size_bytes >= 0, "FatTreeFabric::send: negative size");
-  if (faulted(msg)) return;
-  const sim::Duration wire = serialisation(msg.size_bytes);
+FatTreeFabric::Route FatTreeFabric::route(const Message& msg) const {
   const int src_leaf = leaf_of(msg.src);
   const int dst_leaf = leaf_of(msg.dst);
-
-  if (svc == Service::Control) {
-    // Priority virtual channel: latency only.  Analytic, so the base
-    // deliver_at handles a cross-partition destination.
-    const int switches = src_leaf == dst_leaf ? 1 : 3;
-    deliver_at(engine_->now() + params_.adapter_latency * 2 +
-                   params_.switch_latency * switches + wire,
-               std::move(msg));
-    return;
-  }
-
-  int switches = 1;
-  int plane = 0;
+  const std::size_t n = src_leaf == dst_leaf ? 2 : 4;
+  Hop* hop = scratch_hops(n);
+  hop[0] = {node_tx(msg.src), partition_of(msg.src), {}};
+  hop[n - 1] = {node_rx(msg.dst), partition_of(msg.dst), {}};
   if (src_leaf != dst_leaf) {
-    switches = 3;
+    int plane = 0;
     if (params_.routing == FatTreeRouting::Adaptive && !partitioned()) {
       // Least-loaded plane: the spine plane whose up/down trunk pair frees
       // earliest, lowest index on ties.  Reads only the simulated link-busy
@@ -138,8 +110,8 @@ void FatTreeFabric::send(Message msg, Service svc) {
       sim::TimePoint best{};
       for (int u = 0; u < params_.uplinks; ++u) {
         const sim::TimePoint busy =
-            std::max(link_free_.at(trunk(src_leaf, u, Dir::Up)),
-                     link_free_.at(trunk(dst_leaf, u, Dir::Down)));
+            std::max(link_free(trunk(src_leaf, u, Dir::Up)),
+                     link_free(trunk(dst_leaf, u, Dir::Down)));
         if (u == 0 || busy < best) {
           best = busy;
           plane = u;
@@ -158,88 +130,26 @@ void FatTreeFabric::send(Message msg, Service svc) {
       h ^= h >> 33;
       plane = static_cast<int>(h % static_cast<std::uint64_t>(params_.uplinks));
     }
+    hop[1] = {trunk(src_leaf, plane, Dir::Up),
+              unit_owner(static_cast<std::size_t>(src_leaf)), {}};
+    hop[2] = {trunk(dst_leaf, plane, Dir::Down),
+              unit_owner(static_cast<std::size_t>(dst_leaf)), {}};
   }
+  return {hop, n};
+}
 
-  if (!partitioned()) {
-    // Serial path: the exact historical algorithm.  Path links are
-    // wormhole-reserved from head arrival to tail departure.
-    std::vector<std::int64_t> links;
-    links.push_back(node_tx(msg.src));
-    if (src_leaf != dst_leaf) {
-      links.push_back(trunk(src_leaf, plane, Dir::Up));
-      links.push_back(trunk(dst_leaf, plane, Dir::Down));
-    }
-    links.push_back(node_rx(msg.dst));
-
-    sim::TimePoint head = engine_->now() + params_.adapter_latency +
-                          params_.switch_latency * switches;
-    for (const std::int64_t link : links) {
-      auto it = link_free_.find(link);
-      if (it != link_free_.end()) head = std::max(head, it->second);
-    }
-    const sim::TimePoint tail = head + wire;
-    for (const std::int64_t link : links) link_free_[link] = tail;
-
-    deliver_at(tail + params_.adapter_latency, std::move(msg));
-    return;
-  }
-
-  // Partitioned: endpoint-segmented.  Node links belong to their endpoint's
-  // partition; a trunk belongs to its leaf's partition when the leaf is
-  // uniformly owned and is analytic (never read or booked) otherwise.  The
-  // source side books its own links, the destination side books its own from
-  // a continuation on its partition at the analytic head arrival; see
-  // docs/parallel_engine.md for the contention-approximation argument.
-  ensure_partitions();
-  const std::uint32_t src_part = partition_of(msg.src);
-  const std::uint32_t dst_part = partition_of(msg.dst);
-
-  sim::TimePoint head = engine_->now() + params_.adapter_latency +
-                        params_.switch_latency * switches;
-  head = std::max(head, link_free_.at(node_tx(msg.src)));
-  const bool up_owned =
-      src_leaf != dst_leaf && leaf_part_[src_leaf] == src_part;
-  const std::int64_t up = trunk(src_leaf, plane, Dir::Up);
-  if (up_owned) head = std::max(head, link_free_.at(up));
-  const bool down_same_side =
-      src_leaf != dst_leaf && leaf_part_[dst_leaf] == src_part;
-
-  if (src_part == dst_part) {
-    const std::int64_t down = trunk(dst_leaf, plane, Dir::Down);
-    if (down_same_side) head = std::max(head, link_free_.at(down));
-    head = std::max(head, link_free_.at(node_rx(msg.dst)));
-    const sim::TimePoint tail = head + wire;
-    link_free_.at(node_tx(msg.src)) = tail;
-    if (up_owned) link_free_.at(up) = tail;
-    if (down_same_side) link_free_.at(down) = tail;
-    link_free_.at(node_rx(msg.dst)) = tail;
-    deliver_at(tail + params_.adapter_latency, std::move(msg));
-    return;
-  }
-
-  // Cross partition: book the source side until its local tail, continue on
-  // the destination partition.  `head` >= now + adapter + switches * switch
-  // and `switches` is 3 whenever the leaves differ, so the continuation is
-  // always at or beyond the pair lookahead bound.
-  const sim::TimePoint src_tail = head + wire;
-  link_free_.at(node_tx(msg.src)) = src_tail;
-  if (up_owned) link_free_.at(up) = src_tail;
-  const bool down_owned =
-      src_leaf != dst_leaf && leaf_part_[dst_leaf] == dst_part;
-  engine_->schedule_on(
-      dst_part, head,
-      [this, wire, dst_leaf, plane, down_owned,
-       m = PooledMessage(std::move(msg))]() mutable {
-        Message msg = m.take();
-        sim::TimePoint head = engine_->now();
-        const std::int64_t down = trunk(dst_leaf, plane, Dir::Down);
-        if (down_owned) head = std::max(head, link_free_.at(down));
-        head = std::max(head, link_free_.at(node_rx(msg.dst)));
-        const sim::TimePoint tail = head + wire;
-        if (down_owned) link_free_.at(down) = tail;
-        link_free_.at(node_rx(msg.dst)) = tail;
-        deliver_at(tail + params_.adapter_latency, std::move(msg));
-      });
+void FatTreeFabric::send(Message msg, Service svc) {
+  DEEP_EXPECT(attached(msg.src) && attached(msg.dst),
+              "FatTreeFabric::send: endpoint not attached");
+  DEEP_EXPECT(msg.size_bytes >= 0, "FatTreeFabric::send: negative size");
+  if (faulted(msg)) return;
+  const Route path = route(msg);
+  const int switches = path.size() == 2 ? 1 : 3;
+  const sim::Duration wire = serialisation(msg.size_bytes);
+  transmit(std::move(msg), svc, path,
+           engine_->now() + params_.adapter_latency +
+               params_.switch_latency * switches,
+           wire, params_.adapter_latency);
 }
 
 }  // namespace deep::net

@@ -10,16 +10,16 @@
 //
 // Routing is ECMP-style: the uplink (and the matching spine->leaf downlink)
 // is chosen by a deterministic hash of (src, dst), as real IB subnet
-// managers do with static routing.  Wormhole timing like the torus: the
-// head pays per-switch latency and queues on busy links; every traversed
-// link is reserved until the tail passes.
+// managers do with static routing.  Wormhole timing through the shared core
+// (net/wormhole.hpp), path latency first: the head pays the adapter and
+// per-switch latency up front, then queues on busy links; every traversed
+// link is reserved until the tail passes.  Node links belong to their
+// node's partition; a trunk belongs to its leaf's partition when every node
+// on the leaf shares one, and to nobody otherwise.
 
-#include <atomic>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
-#include "net/fabric.hpp"
+#include "net/wormhole.hpp"
 
 namespace deep::net {
 
@@ -27,7 +27,7 @@ namespace deep::net {
 enum class FatTreeRouting {
   Ecmp,      // static hash of (src, dst), as IB subnet managers route
   Adaptive,  // least-loaded plane by simulated trunk-busy state; replays
-             // stay bit-identical (the choice keys only on link_free_)
+             // stay bit-identical (the choice keys only on link state)
 };
 
 struct FatTreeParams {
@@ -39,7 +39,7 @@ struct FatTreeParams {
   FatTreeRouting routing = FatTreeRouting::Ecmp;
 };
 
-class FatTreeFabric final : public Fabric {
+class FatTreeFabric final : public WormholeFabric {
  public:
   FatTreeFabric(sim::Engine& engine, std::string name, FatTreeParams params);
 
@@ -61,7 +61,10 @@ class FatTreeFabric final : public Fabric {
   /// Leaf-distance pair lookahead: one switch when the two partitions share
   /// a leaf switch, the full three-switch spine crossing otherwise.
   sim::Duration lookahead(std::uint32_t src_part,
-                          std::uint32_t dst_part) const override;
+                          std::uint32_t dst_part) const override {
+    return hop_lookahead(src_part, dst_part, params_.adapter_latency,
+                         params_.switch_latency);
+  }
 
   /// Same-leaf adjacency between attached nodes — the locality graph
   /// net::auto_partition() grows blocks from.
@@ -74,46 +77,41 @@ class FatTreeFabric final : public Fabric {
   }
 
  protected:
-  void on_node_partition(hw::NodeId, std::uint32_t) override {
-    partition_dirty_.store(true, std::memory_order_release);
-  }
+  /// Node tx, then (cross leaf) the up and down trunks of one spine plane,
+  /// then node rx.  Adaptive plane choice only when unpartitioned: trunk
+  /// state is owned per leaf partition otherwise.
+  Route route(const Message& msg) const override;
+
+  /// Rebuilds unit_owner_ (leaf -> the partition all its nodes share, or
+  /// kNoOwner: the trunks of a mixed leaf are analytic) and pair_hops_ (1
+  /// when two partitions share a leaf, 3 otherwise, -1 when either has no
+  /// node here).
+  void refresh_partitions() const override;
 
  private:
-  // Link identifiers.  Node links are keyed by node id; leaf<->spine links
-  // by (leaf, uplink index, direction).
+  // Link ids.  Each leaf owns a block of links, allocated when its first
+  // node attaches: 2 * uplinks trunks, then a tx/rx pair per node slot.
   enum class Dir : std::uint8_t { Up, Down };
-  std::int64_t node_tx(hw::NodeId n) const { return n * 4; }
-  std::int64_t node_rx(hw::NodeId n) const { return n * 4 + 1; }
-  std::int64_t trunk(int leaf, int uplink, Dir dir) const {
-    return -(((static_cast<std::int64_t>(leaf) * params_.uplinks + uplink) << 1 |
-              static_cast<std::int64_t>(dir)) +
-             1);
+  LinkId leaf_block(int leaf) const {
+    return static_cast<LinkId>(leaf) *
+           static_cast<LinkId>(2 * (params_.uplinks + params_.leaf_radix));
   }
+  LinkId trunk(int leaf, int uplink, Dir dir) const {
+    return leaf_block(leaf) + static_cast<LinkId>(2 * uplink) +
+           static_cast<LinkId>(dir);
+  }
+  LinkId node_tx(hw::NodeId n) const {
+    const int k = index_of(n);
+    return leaf_block(k / params_.leaf_radix) +
+           static_cast<LinkId>(2 * (params_.uplinks + k % params_.leaf_radix));
+  }
+  LinkId node_rx(hw::NodeId n) const { return node_tx(n) + 1; }
 
-  /// Rebuilds per-leaf partition ownership and the pair min-switch table
-  /// when node partitions changed.
-  void ensure_partitions() const;
-  void refresh_partitions() const;
-
-  /// The partition owning every node of `leaf`, or kMixedLeaf if the leaf
-  /// hosts nodes from several partitions (its trunks are then analytic —
-  /// never booked — in partitioned runs).
-  static constexpr std::uint32_t kMixedLeaf = 0xFFFFFFFFu;
+  /// The node's attach order (its leaf is index / leaf_radix).
+  int index_of(hw::NodeId node) const;
 
   FatTreeParams params_;
-  std::unordered_map<hw::NodeId, int> leaves_;
-  // Link booking.  Entries are pre-created at attach so the partitioned
-  // send path never rehashes; each entry is only ever touched by the
-  // partition owning it (node links by the endpoint's partition, trunks by
-  // their leaf's uniform owner).
-  std::unordered_map<std::int64_t, sim::TimePoint> link_free_;
-  int attached_count_ = 0;
-  // Partition geometry (lazy, guarded like TorusFabric's).
-  mutable std::vector<std::uint32_t> leaf_part_;     // leaf -> owner/kMixedLeaf
-  mutable std::vector<char> pair_share_leaf_;        // P*P co-located flags
-  mutable std::vector<char> part_present_;           // partition has nodes
-  mutable std::atomic<bool> partition_dirty_{false};
-  mutable std::mutex partition_mu_;
+  std::vector<int> index_of_;  // node -> attach order, -1 if absent
 };
 
 }  // namespace deep::net

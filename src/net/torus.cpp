@@ -4,13 +4,11 @@
 #include <cmath>
 #include <limits>
 
-#include "net/pool.hpp"
-
 namespace deep::net {
 
 TorusFabric::TorusFabric(sim::Engine& engine, std::string name,
                          TorusParams params)
-    : Fabric(engine, std::move(name)), params_(params) {
+    : WormholeFabric(engine, std::move(name)), params_(params) {
   for (int d = 0; d < 3; ++d)
     DEEP_EXPECT(params_.dims[d] >= 1, "TorusFabric: dims must be >= 1");
   DEEP_EXPECT(params_.bandwidth_bytes_per_sec > 0,
@@ -26,10 +24,8 @@ TorusFabric::TorusFabric(sim::Engine& engine, std::string name,
     coord_at_[lin].z = lin / (params_.dims[0] * params_.dims[1]);
   }
   node_at_.assign(capacity_, hw::kInvalidNode);
-  // Default TimePoint{} is the epoch: max(now, epoch) == now, so an untouched
-  // slot behaves exactly like an absent entry in the old hash map.
-  link_free_.assign(static_cast<std::size_t>(capacity_) * kChannelsPerRouter,
-                    sim::TimePoint{});
+  // Every router's channels, ids pack(lin, channel); idle at the epoch.
+  add_links(static_cast<std::size_t>(capacity_) * kChannelsPerRouter);
   // Lane 0 (serial runs) reproduces the historical single-RNG stream exactly;
   // other lanes derive theirs from the seed and the lane index, so error
   // sampling is deterministic per partitioning regardless of worker count.
@@ -70,7 +66,6 @@ Nic& TorusFabric::attach_at(hw::NodeId node, TorusCoord coord) {
   const auto slot = static_cast<std::size_t>(node);
   if (linear_of_.size() <= slot) linear_of_.resize(slot + 1, -1);
   linear_of_[slot] = lin;
-  partition_dirty_.store(true, std::memory_order_release);
   return nic;
 }
 
@@ -211,12 +206,12 @@ std::vector<std::pair<hw::NodeId, hw::NodeId>> TorusFabric::topology_edges()
 
 void TorusFabric::refresh_partitions() const {
   // Attached coordinates take their node's partition.
-  coord_part_.assign(capacity_, 0);
+  unit_owner_.assign(capacity_, 0);
   std::vector<int> attached;
   attached.reserve(static_cast<std::size_t>(capacity_));
   for (int lin = 0; lin < capacity_; ++lin)
     if (node_at_[lin] != hw::kInvalidNode) {
-      coord_part_[lin] = partition_of(node_at_[lin]);
+      unit_owner_[lin] = partition_of(node_at_[lin]);
       attached.push_back(lin);
     }
   // Unattached routers adopt the nearest attached coordinate's partition
@@ -234,63 +229,35 @@ void TorusFabric::refresh_partitions() const {
         best_lin = alin;
       }
     }
-    if (best_lin >= 0) coord_part_[lin] = coord_part_[best_lin];
+    if (best_lin >= 0) unit_owner_[lin] = unit_owner_[best_lin];
   }
   // Pair distance: minimum hop count between the two partitions' coordinate
   // regions.  Using regions (not just attached nodes) keeps the bound
   // conservative: fill coordinates only enlarge a region, never shrink the
-  // distance below what an actual route can cover per hop.
+  // distance below what an actual route can cover per hop.  The cheapest
+  // cross-partition delivery is then engine setup, the injection hop and
+  // one hop per link separating the regions (lookahead()).
   const std::uint32_t nparts = engine_->partitions();
   pair_hops_.assign(static_cast<std::size_t>(nparts) * nparts, -1);
   for (int a = 0; a < capacity_; ++a)
     for (int b = 0; b < capacity_; ++b) {
-      const std::uint32_t pa = coord_part_[a];
-      const std::uint32_t pb = coord_part_[b];
+      const std::uint32_t pa = unit_owner_[a];
+      const std::uint32_t pb = unit_owner_[b];
       if (pa == pb || pa >= nparts || pb >= nparts) continue;
       const int h = hops(coord_at_[a], coord_at_[b]);
       std::int64_t& slot = pair_hops_[static_cast<std::size_t>(pa) * nparts + pb];
       if (slot < 0 || h < slot) slot = h;
     }
-  partition_dirty_.store(false, std::memory_order_release);
-}
-
-void TorusFabric::ensure_partitions() const {
-  if (!partition_dirty_.load(std::memory_order_acquire)) return;
-  // Normally refreshed on the main thread (install_pair_lookahead queries
-  // lookahead() before the run); the mutex covers a stray first query from
-  // inside a window.
-  std::lock_guard<std::mutex> lock(partition_mu_);
-  if (partition_dirty_.load(std::memory_order_relaxed)) refresh_partitions();
 }
 
 std::uint32_t TorusFabric::coord_partition(TorusCoord c) const {
   DEEP_EXPECT(c.x >= 0 && c.x < params_.dims[0] && c.y >= 0 &&
                   c.y < params_.dims[1] && c.z >= 0 && c.z < params_.dims[2],
               "TorusFabric::coord_partition: coordinate outside torus");
-  if (!partitioned()) return 0;
-  ensure_partitions();
-  return coord_part_[linear(c)];
+  return unit_owner(static_cast<std::size_t>(linear(c)));
 }
 
-sim::Duration TorusFabric::lookahead(std::uint32_t src_part,
-                                     std::uint32_t dst_part) const {
-  if (!partitioned()) return Fabric::lookahead(src_part, dst_part);
-  if (src_part == dst_part) return sim::kUnconstrainedLookahead;
-  ensure_partitions();
-  const std::uint32_t nparts = engine_->partitions();
-  if (src_part >= nparts || dst_part >= nparts)
-    return sim::kUnconstrainedLookahead;
-  const std::int64_t d =
-      pair_hops_[static_cast<std::size_t>(src_part) * nparts + dst_part];
-  if (d < 0) return sim::kUnconstrainedLookahead;
-  // Cheapest cross-partition delivery: engine setup, the injection hop, and
-  // one hop per link separating the regions.  Every send/continuation pays
-  // at least this much (see send() and deliver_cross()).
-  return engine_min() + params_.hop_latency * static_cast<std::int64_t>(d + 1);
-}
-
-sim::Duration TorusFabric::retransmission_penalty(std::int64_t bytes,
-                                                  int nlinks) {
+sim::Duration TorusFabric::tail_penalty(std::int64_t bytes, int nlinks) {
   if (params_.packet_error_rate <= 0.0 || bytes <= 0 || nlinks == 0) return {};
   LaneState& lane = lane_state();
   const std::int64_t packets =
@@ -323,192 +290,49 @@ sim::Duration TorusFabric::retransmission_penalty(std::int64_t bytes,
          static_cast<std::int64_t>(resends);
 }
 
+TorusFabric::Route TorusFabric::route(const Message& msg) const {
+  const int src_lin = linear_of(msg.src);
+  const int dst_lin = linear_of(msg.dst);
+  const RouteEntry& entry = route_entry(src_lin, dst_lin);
+  const LinkId* links = lane_state().route_links.data() + entry.first;
+  const std::size_t n = entry.count + 2;
+  Hop* hop = scratch_hops(n);
+  const bool owned = partitioned();
+  const auto at = [&](LinkId link) -> Hop {
+    return {link, owned ? unit_owner(link / kChannelsPerRouter) : 0,
+            params_.hop_latency};
+  };
+  hop[0] = at(pack(src_lin, kChannelInject));
+  for (std::uint32_t i = 0; i < entry.count; ++i) hop[i + 1] = at(links[i]);
+  hop[n - 1] = at(pack(dst_lin, kChannelEject));
+  return {hop, n};
+}
+
 void TorusFabric::send(Message msg, Service svc) {
   DEEP_EXPECT(attached(msg.src) && attached(msg.dst),
               "TorusFabric::send: endpoint not attached");
   DEEP_EXPECT(msg.size_bytes >= 0, "TorusFabric::send: negative size");
   if (faulted(msg)) return;
-  const int src_lin = linear_of(msg.src);
-  const int dst_lin = linear_of(msg.dst);
-  const RouteEntry& route = route_entry(src_lin, dst_lin);
-  LaneState& lane = lane_state();
+  const Route path = route(msg);
+  m_hops_.add(static_cast<std::int64_t>(path.size()) - 2);
 
   const sim::Duration engine_overhead =
       svc == Service::Bulk ? params_.rma_setup : params_.velo_injection;
   const sim::Duration wire = serialisation(msg.size_bytes);
-
-  if (svc == Service::Control) {
-    // Priority virtual channel (VELO-class): pays engine + per-hop latency
-    // but does not queue on, or reserve, the data links.  Purely analytic,
-    // so it is partitioning-independent; the base deliver_at() handles the
-    // cross-partition hop when the destination lives elsewhere.
-    const int nhops = static_cast<int>(route.count) + 2;  // inject+route+eject
-    m_hops_.add(route.count);
-    deliver_at(engine_->now() + engine_overhead + params_.hop_latency * nhops +
-                   wire + params_.ejection,
-               std::move(msg));
-    return;
-  }
-
-  // Head traversal: injection link, memoised route links, ejection link.
-  // All link state is a flat-array read/write; nothing allocates.
-  const std::int64_t inject = pack(src_lin, kChannelInject);
-  const std::int64_t eject = pack(dst_lin, kChannelEject);
-
-  // The engine (VELO or RMA) is busy for the setup overhead of each
-  // message, which is what bounds the NIC's message rate.
-  const std::int64_t engine_key =
-      pack(src_lin, svc == Service::Bulk ? kChannelRma : kChannelVelo);
-
-  if (!partitioned()) {
-    // Serial path: the exact historical algorithm (bit-identical traces).
-    sim::TimePoint head = engine_->now();
-    head = std::max(head, link_free_[engine_key]);
-    head = head + engine_overhead;
-    link_free_[engine_key] = head;
-    const auto traverse = [&](std::int64_t link) {
-      head = std::max(head, link_free_[link]);
-      head = head + params_.hop_latency;
-    };
-    traverse(inject);
-    for (std::uint32_t i = route.first; i < route.first + route.count; ++i)
-      traverse(lane.route_links[i]);
-    traverse(eject);
-
-    // Bookkeeping for the observability layer: dimension hops, head latency
-    // (queueing included), and wire occupancy summed over every held link —
-    // the report divides the latter by elapsed time for utilisation.
-    m_hops_.add(route.count);
-    m_head_wait_ns_.record((head - engine_->now()).ps / 1000);
-    m_link_busy_ps_.add(wire.ps * (static_cast<std::int64_t>(route.count) + 2));
-
-    sim::TimePoint tail = head + wire;
-    tail = tail + retransmission_penalty(msg.size_bytes,
-                                         static_cast<int>(route.count) + 2);
-    link_free_[inject] = tail;
-    for (std::uint32_t i = route.first; i < route.first + route.count; ++i)
-      link_free_[lane.route_links[i]] = tail;
-    link_free_[eject] = tail;
-
-    deliver_at(tail + params_.ejection, std::move(msg));
-    return;
-  }
-
-  // Partitioned: endpoint-segmented contention model.  A link is owned by
-  // the partition of its router's coordinate and only its owner ever touches
-  // its booking.  The sender books the engine channel, the injection link
-  // and the contiguous source-owned route prefix; the middle of the route is
-  // analytic (per-hop latency, no booking — foreign contention is
-  // approximated away, see docs/parallel_engine.md); the destination books
-  // the contiguous destination-owned suffix and the ejection link from a
-  // continuation on its own partition.  Sends must execute on the partition
-  // owning the source coordinate (every caller injects from its own node) —
-  // Engine::schedule_on enforces the resulting safety condition.
-  ensure_partitions();
-  const std::uint32_t src_part = coord_part_[src_lin];
-  const std::uint32_t dst_part = coord_part_[dst_lin];
-
-  std::uint32_t prefix_end = 0;
-  while (prefix_end < route.count &&
-         coord_part_[lane.route_links[route.first + prefix_end] /
-                     kChannelsPerRouter] == src_part)
-    ++prefix_end;
-  std::uint32_t suffix_start = route.count;
-  while (suffix_start > prefix_end &&
-         coord_part_[lane.route_links[route.first + suffix_start - 1] /
-                     kChannelsPerRouter] == dst_part)
-    --suffix_start;
-
   sim::TimePoint head = engine_->now();
-  head = std::max(head, link_free_[engine_key]);
-  head = head + engine_overhead;
-  link_free_[engine_key] = head;
-  const auto traverse = [&](std::int64_t link) {
-    head = std::max(head, link_free_[link]);
-    head = head + params_.hop_latency;
-  };
-  traverse(inject);
-  for (std::uint32_t i = 0; i < prefix_end; ++i)
-    traverse(lane.route_links[route.first + i]);
-  const sim::TimePoint prefix_head = head;
-  head = head + params_.hop_latency *
-                    static_cast<std::int64_t>(suffix_start - prefix_end);
-
-  m_hops_.add(route.count);
-
-  if (src_part == dst_part) {
-    // Same partition: finish inline — suffix traversal, ejection, booking.
-    for (std::uint32_t i = suffix_start; i < route.count; ++i)
-      traverse(lane.route_links[route.first + i]);
-    traverse(eject);
-    m_head_wait_ns_.record((head - engine_->now()).ps / 1000);
-    const std::int64_t booked =
-        static_cast<std::int64_t>(prefix_end) + (route.count - suffix_start) + 2;
-    m_link_busy_ps_.add(wire.ps * booked);
-    sim::TimePoint tail = head + wire;
-    tail = tail + retransmission_penalty(msg.size_bytes,
-                                         static_cast<int>(route.count) + 2);
-    link_free_[inject] = tail;
-    for (std::uint32_t i = 0; i < prefix_end; ++i)
-      link_free_[lane.route_links[route.first + i]] = tail;
-    for (std::uint32_t i = suffix_start; i < route.count; ++i)
-      link_free_[lane.route_links[route.first + i]] = tail;
-    link_free_[eject] = tail;
-    deliver_at(tail + params_.ejection, std::move(msg));
-    return;
+  if (svc != Service::Control) {
+    // The engine (VELO or RMA) is busy for the setup overhead of each
+    // message, which is what bounds the NIC's message rate: a pseudo-link
+    // booked before the route and held only until the head leaves it.
+    sim::TimePoint& engine = link_free(pack(
+        linear_of(msg.src), svc == Service::Bulk ? kChannelRma : kChannelVelo));
+    head = std::max(head, engine);
+    engine = head + engine_overhead;
   }
-
-  // Cross partition: hold the source-side links until the tail clears them,
-  // then continue on the destination partition at the analytic head arrival.
-  // `head` here is >= now + engine_min + hop_latency * (1 + suffix_start)
-  // and suffix_start >= the region distance D(src_part, dst_part), so the
-  // continuation always lands at or beyond the destination's safe window
-  // (the per-pair lookahead bound).
-  const sim::TimePoint prefix_tail = prefix_head + wire;
-  link_free_[inject] = prefix_tail;
-  for (std::uint32_t i = 0; i < prefix_end; ++i)
-    link_free_[lane.route_links[route.first + i]] = prefix_tail;
-  m_head_wait_ns_.record((head - engine_->now()).ps / 1000);
-  m_link_busy_ps_.add(wire.ps * (static_cast<std::int64_t>(prefix_end) + 1));
-  engine_->schedule_on(
-      dst_part, head,
-      [this, src_lin, dst_lin, suffix_start,
-       m = PooledMessage(std::move(msg))]() mutable {
-        deliver_cross(m.take(), src_lin, dst_lin, suffix_start);
-      });
-}
-
-void TorusFabric::deliver_cross(Message msg, int src_lin, int dst_lin,
-                                std::uint32_t suffix_off) {
-  // Running as an event on the destination partition: the route lookup and
-  // the retransmission sampling use that partition's lane state, and every
-  // link booked below is owned by this partition.
-  const RouteEntry& route = route_entry(src_lin, dst_lin);
-  LaneState& lane = lane_state();
-  const sim::Duration wire = serialisation(msg.size_bytes);
-  const std::int64_t eject = pack(dst_lin, kChannelEject);
-
-  sim::TimePoint head = engine_->now();
-  const auto traverse = [&](std::int64_t link) {
-    head = std::max(head, link_free_[link]);
-    head = head + params_.hop_latency;
-  };
-  for (std::uint32_t i = suffix_off; i < route.count; ++i)
-    traverse(lane.route_links[route.first + i]);
-  traverse(eject);
-
-  const std::int64_t booked =
-      static_cast<std::int64_t>(route.count - suffix_off) + 1;
-  m_link_busy_ps_.add(wire.ps * booked);
-
-  sim::TimePoint tail = head + wire;
-  tail = tail + retransmission_penalty(msg.size_bytes,
-                                       static_cast<int>(booked));
-  for (std::uint32_t i = suffix_off; i < route.count; ++i)
-    link_free_[lane.route_links[route.first + i]] = tail;
-  link_free_[eject] = tail;
-
-  deliver_at(tail + params_.ejection, std::move(msg));
+  // Control (VELO-class priority channel) pays the engine and per-hop
+  // latency but neither queues on nor holds the engine or the data links.
+  transmit(std::move(msg), svc, path, head + engine_overhead, wire,
+           params_.ejection);
 }
 
 }  // namespace deep::net

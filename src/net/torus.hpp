@@ -11,28 +11,28 @@
 //     packet is retransmitted on the affected link (latency penalty, no
 //     data loss), with counters exposed for the RAS benches.
 //
-// Wormhole-style timing: the head flit pays a per-hop router latency and
-// queues on busy links; every traversed link (including the injection and
-// ejection links) is then held until the message tail passes.
+// Wormhole-style timing through the shared core (net/wormhole.hpp), hop by
+// hop: the head flit pays a per-hop router latency and queues on busy links;
+// every traversed link (including the injection and ejection links) is then
+// held until the message tail passes.  A link is owned by the partition of
+// its router's coordinate.
 //
 // Hot-path layout (docs/perf.md): geometry is fixed at construction, so all
 // per-message state lives in flat arrays indexed by the linear coordinate —
-// node_at_/coord_at_ for attachment, link_free_ for wormhole link booking —
-// and dimension-ordered routes are memoised per (src,dst) pair into a shared
-// link arena.  A steady-state send performs no hashing beyond one memo probe
-// and allocates nothing.  Fault checks (route_up) still walk the route
-// per-call against the *live* link-state table, so chaos semantics are
-// unchanged by the memoisation.
+// node_at_/coord_at_ for attachment, the core's link table for booking —
+// and dimension-ordered routes are memoised per (src,dst) pair into a
+// per-lane link arena.  A steady-state send performs no hashing beyond one
+// memo probe and allocates nothing.  Fault checks (route_up) still walk the
+// route per-call against the *live* link-state table, so chaos semantics
+// are unchanged by the memoisation.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "net/fabric.hpp"
+#include "net/wormhole.hpp"
 #include "util/rng.hpp"
 
 namespace deep::net {
@@ -57,7 +57,7 @@ struct TorusParams {
   std::uint64_t seed = 0x5EED;             // for error sampling
 };
 
-class TorusFabric final : public Fabric {
+class TorusFabric final : public WormholeFabric {
  public:
   TorusFabric(sim::Engine& engine, std::string name, TorusParams params);
 
@@ -78,7 +78,11 @@ class TorusFabric final : public Fabric {
   /// why the partitioned contention model (endpoint-segmented booking)
   /// preserves this bound.
   sim::Duration lookahead(std::uint32_t src_part,
-                          std::uint32_t dst_part) const override;
+                          std::uint32_t dst_part) const override {
+    return hop_lookahead(src_part, dst_part,
+                         engine_min() + params_.hop_latency,
+                         params_.hop_latency);
+  }
 
   /// Attaches the node at the next free coordinate (lexicographic order).
   Nic& attach(hw::NodeId node) override;
@@ -119,8 +123,8 @@ class TorusFabric final : public Fabric {
   }
 
   // Per-router channel map.  A directed link is identified by the index
-  // `linear * kChannelsPerRouter + channel` into link_free_; pack() guards
-  // that a channel can never alias the next router's channel 0.
+  // `linear * kChannelsPerRouter + channel` into the link table; pack()
+  // guards that a channel can never alias the next router's channel 0.
   static constexpr int kChannelsPerRouter = 16;
   // Channels 0..5 are the torus dimension links: dim * 2 (+x/+y/+z) and
   // dim * 2 + 1 (-x/-y/-z).
@@ -147,11 +151,17 @@ class TorusFabric final : public Fabric {
   /// link-state check itself is live — never cached.
   bool route_up(hw::NodeId src, hw::NodeId dst) const override;
 
-  /// Partition assignments change coordinate ownership and the pair-distance
-  /// matrix; recompute both lazily on the next query.
-  void on_node_partition(hw::NodeId, std::uint32_t) override {
-    partition_dirty_.store(true, std::memory_order_release);
-  }
+  /// Injection link, memoised dimension links, ejection link; each owned by
+  /// its router's coordinate partition (all partition 0 when unpartitioned).
+  Route route(const Message& msg) const override;
+
+  /// Link-level retransmission: each of `nlinks` link traversals of every
+  /// packet may need a resend (sampled on this lane's RNG stream).
+  sim::Duration tail_penalty(std::int64_t bytes, int nlinks) override;
+
+  /// Rebuilds unit_owner_ (coordinate -> owning partition) and pair_hops_
+  /// (partition-pair min hop distance) from the current node partitions.
+  void refresh_partitions() const override;
 
  private:
   /// One memoised route: `count` packed dimension-link indices starting at
@@ -174,7 +184,7 @@ class TorusFabric final : public Fabric {
     // link arena.  Routes depend only on the fixed geometry, so entries are
     // never invalidated (lanes redundantly rebuild, never disagree).
     std::unordered_map<std::uint64_t, RouteEntry> route_memo;
-    std::vector<std::int64_t> route_links;  // arena of packed links
+    std::vector<LinkId> route_links;  // arena of packed links
     util::Rng rng{0};
     std::int64_t retransmissions = 0;
     std::int64_t affected_messages = 0;
@@ -184,11 +194,11 @@ class TorusFabric final : public Fabric {
 
   int linear(TorusCoord c) const;
   int linear_of(hw::NodeId node) const;
-  /// Directed-link index into link_free_ (also the arena representation).
-  std::int64_t pack(int lin, int channel) const {
-    return packed_link_index(lin, channel);
+  /// Directed-link id in the link table (also the arena representation).
+  LinkId pack(int lin, int channel) const {
+    return static_cast<LinkId>(packed_link_index(lin, channel));
   }
-  std::int64_t dim_link(int lin, int dim, bool positive) const {
+  LinkId dim_link(int lin, int dim, bool positive) const {
     return pack(lin, dim * 2 + (positive ? 0 : 1));
   }
 
@@ -204,47 +214,18 @@ class TorusFabric final : public Fabric {
   /// Signed shortest displacement along `dim` from `from` to `to`.
   int displacement(int from, int to, int dim) const;
 
-  sim::Duration retransmission_penalty(std::int64_t bytes, int nlinks);
-
-  /// Rebuilds coord_part_ (coordinate -> owning partition) and pair_hops_
-  /// (partition-pair min hop distance) from the current node partitions.
-  void refresh_partitions() const;
-  /// refresh_partitions() if dirty, serialised for the (setup-time) case of
-  /// a first query racing across lanes.
-  void ensure_partitions() const;
-  std::uint32_t coord_owner(int lin) const {
-    return coord_part_.empty() ? 0 : coord_part_[lin];
-  }
-
-  /// Destination-side continuation of a cross-partition send: books the
-  /// destination-owned route suffix and the ejection link, then delivers.
-  /// Runs as an event on the destination partition at the analytic head
-  /// arrival time.
-  void deliver_cross(Message msg, int src_lin, int dst_lin,
-                     std::uint32_t suffix_off);
-
   TorusParams params_;
   int capacity_ = 0;
   std::vector<TorusCoord> coord_at_;   // linear -> coordinate (fixed)
   std::vector<hw::NodeId> node_at_;    // linear -> node (kInvalidNode if free)
   std::vector<int> linear_of_;         // node -> linear (-1 if absent)
-  // Directed-link busy-until times.  Shared across partitions, but each
-  // entry is written only by the partition owning its router's coordinate
-  // (endpoint-segmented booking), so partitioned access is race-free.
-  std::vector<sim::TimePoint> link_free_;
   // Per-execution-lane send state (deque: stable addresses, no moves).
   mutable std::deque<LaneState> lanes_;
-  // Partition geometry, rebuilt by refresh_partitions() when dirty.
-  mutable std::vector<std::uint32_t> coord_part_;  // linear -> owner partition
-  mutable std::vector<std::int64_t> pair_hops_;    // P*P min hops, -1 = none
-  mutable std::atomic<bool> partition_dirty_{false};
-  mutable std::mutex partition_mu_;
   int next_linear_ = 0;
-  // Metrics (null handles when no registry; see Fabric).
+  // Metrics (null handles when no registry; see Fabric).  The core's
+  // m_link_busy_ps_ and m_head_wait_ns_ are registered here too.
   obs::Counter m_hops_;             // torus dimension hops traversed
   obs::Counter m_retransmissions_;  // link-level packet resends
-  obs::Counter m_link_busy_ps_;     // serialisation occupancy, summed per link
-  obs::Histogram m_head_wait_ns_;   // injection->head-at-destination latency
 };
 
 }  // namespace deep::net

@@ -1,12 +1,15 @@
-// Unit tests for the network layer: NIC demux, crossbar (InfiniBand) and
-// torus (EXTOLL) fabrics, routing, contention, retransmission.
+// Unit tests for the network layer: NIC demux, the wormhole link-booking
+// core, crossbar (InfiniBand) and torus (EXTOLL) fabrics, routing,
+// contention, retransmission.
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/crossbar.hpp"
 #include "net/torus.hpp"
+#include "net/wormhole.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
 
@@ -199,6 +202,199 @@ TEST(Fabric, AttachedIdsSortedAndHolesSkipped) {
   EXPECT_THROW(fabric.attach(4), deep::util::UsageError);
   EXPECT_THROW(fabric.attach(-1), deep::util::UsageError);
   EXPECT_THROW(fabric.nic(3), deep::util::UsageError);
+}
+
+// ---------------------------------------------------------------------------
+// WormholeFabric: the shared link-booking core
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr ds::Duration ns(std::int64_t n) { return ds::Duration{n * 1000}; }
+constexpr ds::TimePoint at_ns(std::int64_t n) { return ds::TimePoint{n * 1000}; }
+
+// Every message takes the same hand-built five-link route.  The head enters
+// the first link `start` after injection, the wire takes 1 ns per byte and
+// delivery follows the tail by 5 ns.
+class LineFabric final : public dn::WormholeFabric {
+ public:
+  static constexpr std::uint32_t kNone = kNoOwner;
+
+  LineFabric(ds::Engine& eng, std::vector<std::uint32_t> owners,
+             std::vector<ds::Duration> lats, ds::Duration start)
+      : WormholeFabric(eng, "line"),
+        owners_(std::move(owners)),
+        lats_(std::move(lats)),
+        start_(start) {
+    add_links(owners_.size());
+  }
+
+  void send(dn::Message msg, dn::Service svc) override {
+    const ds::Duration wire = ns(msg.size_bytes);
+    transmit(std::move(msg), svc, route(msg), engine_->now() + start_, wire,
+             ns(5));
+  }
+
+  ds::TimePoint busy(int link) const {
+    return link_free(static_cast<LinkId>(link));
+  }
+  void set_busy(int link, ds::TimePoint t) {
+    link_free(static_cast<LinkId>(link)) = t;
+  }
+
+ protected:
+  Route route(const dn::Message&) const override {
+    Hop* hop = scratch_hops(owners_.size());
+    for (std::size_t i = 0; i < owners_.size(); ++i)
+      hop[i] = {static_cast<LinkId>(i), owners_[i], lats_[i]};
+    return {hop, owners_.size()};
+  }
+
+ private:
+  std::vector<std::uint32_t> owners_;
+  std::vector<ds::Duration> lats_;
+  ds::Duration start_;
+};
+
+const std::vector<ds::Duration> kHopLats = {ns(10), ns(20), ns(30), ns(40),
+                                            ns(50)};
+
+/// Sends one `bytes`-byte message 0 -> 1 at t = 0 on partition 0 and
+/// returns its delivery time.
+ds::TimePoint send_once(ds::Engine& eng, LineFabric& fabric,
+                        std::int64_t bytes,
+                        dn::Service svc = dn::Service::Bulk) {
+  ds::TimePoint delivered{-1};
+  fabric.nic(1).bind(dn::Port::Raw,
+                     [&](dn::Message&&) { delivered = eng.now(); });
+  eng.schedule_on(0, ds::TimePoint{}, [&fabric, bytes, svc] {
+    fabric.send(mk(0, 1, bytes), svc);
+  });
+  eng.run();
+  return delivered;
+}
+
+}  // namespace
+
+TEST(Wormhole, CrossPartitionBooksOwnedPrefixThenSuffix) {
+  // Owners [src, src, none, dst, dst] with the endpoints on partitions 0, 1.
+  ds::Engine eng;
+  eng.set_partitions(2);
+  eng.set_lookahead(ns(1));
+  LineFabric fabric(eng, {0, 0, LineFabric::kNone, 1, 1}, kHopLats, ns(100));
+  fabric.attach(0);
+  fabric.attach(1);
+  fabric.set_node_partition(1, 1);
+  fabric.set_busy(1, at_ns(200));         // binds on the source side
+  fabric.set_busy(2, at_ns(10'000'000));  // the middle must never read it
+  fabric.set_busy(4, at_ns(280));         // frees just before the head
+
+  const ds::TimePoint delivered = send_once(eng, fabric, 100);
+
+  // Source: 100 -> link 0 -> 110 -> link 1 waits to 200 -> 220.  Middle:
+  // +30 -> analytic head 250, where the continuation fires.  Destination:
+  // 250 -> link 3 -> 290 -> link 4 (free since 280) -> 340; tail 440.  A
+  // continuation fired at the prefix head (220) would deliver at 435.
+  EXPECT_EQ(delivered, at_ns(445));
+  EXPECT_EQ(fabric.busy(0), at_ns(320));  // prefix held to its own tail
+  EXPECT_EQ(fabric.busy(1), at_ns(320));
+  EXPECT_EQ(fabric.busy(2), at_ns(10'000'000));  // never booked
+  EXPECT_EQ(fabric.busy(3), at_ns(440));  // suffix held to the tail
+  EXPECT_EQ(fabric.busy(4), at_ns(440));
+}
+
+TEST(Wormhole, SingleOwnerRouteBooksEveryLink) {
+  // The serial case: one owner, so the prefix is the whole route.
+  ds::Engine eng;
+  LineFabric fabric(eng, {0, 0, 0, 0, 0}, kHopLats, ns(100));
+  fabric.attach(0);
+  fabric.attach(1);
+  fabric.set_busy(1, at_ns(200));
+  fabric.set_busy(2, at_ns(500));
+  fabric.set_busy(4, at_ns(300));
+
+  const ds::TimePoint delivered = send_once(eng, fabric, 100);
+
+  // 100 -> 110 -> max(110, 200) + 20 = 220 -> max(220, 500) + 30 = 530
+  // -> 570 -> max(570, 300) + 50 = 620; tail 720.
+  EXPECT_EQ(delivered, at_ns(725));
+  for (int link = 0; link < 5; ++link)
+    EXPECT_EQ(fabric.busy(link), at_ns(720)) << "link " << link;
+}
+
+TEST(Wormhole, UnownedMiddleOnOnePartitionAddsOnlyLatency) {
+  // Both endpoints on partition 1, the middle link owned by nobody: the
+  // message finishes inline and the middle still only adds latency.
+  ds::Engine eng;
+  eng.set_partitions(2);
+  eng.set_lookahead(ns(1));
+  LineFabric fabric(eng, {1, 1, LineFabric::kNone, 1, 1}, kHopLats, ns(100));
+  fabric.attach(0);
+  fabric.attach(1);
+  fabric.set_node_partition(0, 1);
+  fabric.set_node_partition(1, 1);
+  fabric.set_busy(2, at_ns(10'000'000));
+
+  ds::TimePoint delivered{-1};
+  fabric.nic(1).bind(dn::Port::Raw,
+                     [&](dn::Message&&) { delivered = eng.now(); });
+  eng.schedule_on(1, ds::TimePoint{},
+                  [&] { fabric.send(mk(0, 1, 100), dn::Service::Bulk); });
+  eng.run();
+
+  EXPECT_EQ(delivered, at_ns(100 + 150 + 100 + 5));
+  for (const int link : {0, 1, 3, 4})
+    EXPECT_EQ(fabric.busy(link), at_ns(350)) << "link " << link;
+  EXPECT_EQ(fabric.busy(2), at_ns(10'000'000));
+}
+
+TEST(Wormhole, ControlClassIsAnalytic) {
+  // Priority channel: every hop's latency, no queueing, nothing booked.
+  ds::Engine eng;
+  LineFabric fabric(eng, {0, 0, 0, 0, 0}, kHopLats, ns(100));
+  fabric.attach(0);
+  fabric.attach(1);
+  for (int link = 0; link < 5; ++link) fabric.set_busy(link, at_ns(5000));
+
+  const ds::TimePoint delivered =
+      send_once(eng, fabric, 100, dn::Service::Control);
+
+  EXPECT_EQ(delivered, at_ns(100 + 150 + 100 + 5));
+  for (int link = 0; link < 5; ++link)
+    EXPECT_EQ(fabric.busy(link), at_ns(5000)) << "link " << link;
+}
+
+TEST(Wormhole, PathLatencyFirstMatchesHopByHopWhenNoLinkBinds) {
+  // Hop by hop (the torus order) against path latency first with lat = 0
+  // (the fat-tree and dragonfly order).  Each link frees before the
+  // hop-by-hop head reaches it, so it binds in neither model and the two
+  // agree exactly.
+  const std::vector<std::int64_t> free_ns = {90, 105, 125, 150, 200};
+  const auto run = [&](std::vector<ds::Duration> lats, ds::Duration start,
+                       std::vector<std::int64_t> busy) {
+    ds::Engine eng;
+    LineFabric fabric(eng, {0, 0, 0, 0, 0}, std::move(lats), start);
+    fabric.attach(0);
+    fabric.attach(1);
+    for (int link = 0; link < 5; ++link)
+      fabric.set_busy(link, at_ns(busy[static_cast<std::size_t>(link)]));
+    const ds::TimePoint delivered = send_once(eng, fabric, 100);
+    std::vector<ds::TimePoint> booked;
+    for (int link = 0; link < 5; ++link) booked.push_back(fabric.busy(link));
+    return std::pair(delivered, booked);
+  };
+  const std::vector<ds::Duration> zero(5, ds::Duration{});
+  const auto hop_by_hop = run(kHopLats, ns(100), free_ns);
+  const auto path_first = run(zero, ns(250), free_ns);
+  EXPECT_EQ(hop_by_hop.first, at_ns(355));
+  EXPECT_EQ(path_first.first, hop_by_hop.first);
+  EXPECT_EQ(path_first.second, hop_by_hop.second);
+
+  // Where a link does bind, the orders differ: that is why each fabric
+  // keeps its own.
+  const std::vector<std::int64_t> first_busy = {1000, 0, 0, 0, 0};
+  EXPECT_NE(run(zero, ns(250), first_busy).first,
+            run(kHopLats, ns(100), first_busy).first);
 }
 
 // ---------------------------------------------------------------------------
