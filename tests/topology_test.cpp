@@ -432,6 +432,15 @@ TEST(Session, FatTreeAndDragonflyRunWorkloads) {
 
 namespace {
 
+/// The simulation outcome of a session, excluding presentation: the report
+/// prints the worker count, so worker-invariance compares the virtual-time
+/// observables (checksum, end time, event count, error states).
+std::string outcome(const dsv::SessionResult& r) {
+  return std::to_string(r.ok) + "|" + std::to_string(r.mpi_errors) + "|" +
+         std::to_string(r.checksum) + "|" + std::to_string(r.final_ps) + "|" +
+         std::to_string(r.events) + "|" + r.error;
+}
+
 /// One pinned cell of the partitioned-session table.
 struct PartitionedPin {
   const char* topology;
@@ -443,6 +452,56 @@ struct PartitionedPin {
 };
 
 }  // namespace
+
+TEST(Session, PartitionedDragonflyIsWorkerCountInvariant) {
+  // The production parallel layout over the swapped fabric: booster blocks
+  // from net::auto_partition(dragonfly), pair lookaheads from router
+  // distances.  Outcomes must be identical at every worker count, adaptive
+  // routing included (it degrades deterministically when partitioned).
+  std::string baseline;
+  for (const int workers : {1, 2, 4}) {
+    dsv::JobSpec spec;
+    spec.topology = "dragonfly";
+    spec.adaptive = true;
+    spec.workload = "stencil";
+    spec.cluster = 2;
+    spec.booster = 12;
+    spec.procs = 6;
+    spec.steps = 2;
+    spec.partitions = 3;
+    spec.workers = workers;
+    spec.metrics = false;
+    const dsv::SessionResult r = dsv::run_session(spec);
+    ASSERT_TRUE(r.ok) << "workers=" << workers << ": " << r.error;
+    if (baseline.empty())
+      baseline = outcome(r);
+    else
+      EXPECT_EQ(outcome(r), baseline) << "workers=" << workers;
+  }
+}
+
+TEST(Session, PartitionedFatTreeIsWorkerCountInvariant) {
+  std::string baseline;
+  for (const int workers : {1, 2}) {
+    dsv::JobSpec spec;
+    spec.topology = "fattree";
+    spec.adaptive = true;
+    spec.workload = "spmv";
+    spec.cluster = 2;
+    spec.booster = 12;
+    spec.procs = 6;
+    spec.steps = 2;
+    spec.partitions = 3;
+    spec.workers = workers;
+    spec.metrics = false;
+    const dsv::SessionResult r = dsv::run_session(spec);
+    ASSERT_TRUE(r.ok) << "workers=" << workers << ": " << r.error;
+    if (baseline.empty())
+      baseline = outcome(r);
+    else
+      EXPECT_EQ(outcome(r), baseline) << "workers=" << workers;
+  }
+}
 
 TEST(Session, PartitionedOutcomesArePinned) {
   // The production parallel layout over every booster fabric: blocks from
@@ -489,12 +548,12 @@ TEST(Session, PartitionedOutcomesArePinned) {
       EXPECT_EQ(r.checksum, pin.checksum) << cell;
       const std::uint64_t metrics_fnv = dsv::fnv1a64(r.metrics_json);
       EXPECT_EQ(metrics_fnv, pin.metrics_fnv) << cell;
-      const std::string outcome = std::to_string(r.final_ps) + "|" +
+      const std::string observed = std::to_string(r.final_ps) + "|" +
                                   std::to_string(r.events) + "|" +
                                   std::to_string(r.checksum) + "|" +
                                   dsv::hex64(metrics_fnv);
-      if (first.empty()) first = outcome;
-      EXPECT_EQ(outcome, first) << cell << " differs from workers=1";
+      if (first.empty()) first = observed;
+      EXPECT_EQ(observed, first) << cell << " differs from workers=1";
     }
   }
 }
