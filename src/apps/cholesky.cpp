@@ -1,5 +1,6 @@
 #include "apps/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "hw/compute.hpp"
@@ -41,83 +42,139 @@ double TiledMatrix::at(int row, int col) const {
 
 // ---------------------------------------------------------------------------
 // Tile kernels
+//
+// Each kernel walks a tile column j with i innermost, so the inner loops run
+// down contiguous columns.  Every output element still gets the operation
+// sequence of the textbook element-at-a-time loop: the same start value, then
+// its terms combined in ascending k, then the same final division.  So the
+// results are bit for bit those of that loop (tests/apps_test.cpp keeps it as
+// the reference).
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Offset of element (i, j) in a column-major array with leading dimension ld.
+std::size_t idx(std::size_t i, std::size_t j, std::size_t ld) {
+  return j * ld + i;
+}
+
+// s[i] = sum over ascending k of a(i,k) * b(j,k), for i in [first, ts).
+void column_dots(const double* a, const double* b, int j, int first, int ts,
+                 double* s) {
+  for (int i = first; i < ts; ++i) s[i] = 0.0;
+  for (int k = 0; k < ts; ++k) {
+    const double bjk = b[idx(j, k, ts)];
+    const double* ak = a + idx(0, k, ts);
+    for (int i = first; i < ts; ++i) s[i] += ak[i] * bjk;
+  }
+}
+
+}  // namespace
+
 void potrf_tile(std::span<double> a, int ts) {
+  double* t = a.data();
   for (int j = 0; j < ts; ++j) {
-    double d = a[static_cast<std::size_t>(j) * ts + j];
+    double* tj = t + idx(0, j, ts);
+    // Row j joins the update: its diagonal gets d -= a(j,k)^2.
     for (int k = 0; k < j; ++k) {
-      const double v = a[static_cast<std::size_t>(k) * ts + j];
-      d -= v * v;
+      const double ajk = t[idx(j, k, ts)];
+      const double* tk = t + idx(0, k, ts);
+      for (int i = j; i < ts; ++i) tj[i] -= tk[i] * ajk;
     }
+    const double d = tj[j];
     DEEP_EXPECT(d > 0.0, "potrf: matrix not positive definite");
-    d = std::sqrt(d);
-    a[static_cast<std::size_t>(j) * ts + j] = d;
-    for (int i = j + 1; i < ts; ++i) {
-      double s = a[static_cast<std::size_t>(j) * ts + i];
-      for (int k = 0; k < j; ++k)
-        s -= a[static_cast<std::size_t>(k) * ts + i] *
-             a[static_cast<std::size_t>(k) * ts + j];
-      a[static_cast<std::size_t>(j) * ts + i] = s / d;
-    }
+    const double l = std::sqrt(d);
+    tj[j] = l;
+    for (int i = j + 1; i < ts; ++i) tj[i] /= l;
     // Zero the upper triangle for cleanliness.
-    for (int i = 0; i < j; ++i) a[static_cast<std::size_t>(j) * ts + i] = 0.0;
+    for (int i = 0; i < j; ++i) tj[i] = 0.0;
   }
 }
 
 void trsm_tile(std::span<const double> t, std::span<double> b, int ts) {
   // Solve X * T^T = B for X, T lower triangular: column sweep.
+  double* x = b.data();
   for (int j = 0; j < ts; ++j) {
-    const double d = t[static_cast<std::size_t>(j) * ts + j];
-    for (int i = 0; i < ts; ++i) {
-      double s = b[static_cast<std::size_t>(j) * ts + i];
-      for (int k = 0; k < j; ++k)
-        s -= b[static_cast<std::size_t>(k) * ts + i] *
-             t[static_cast<std::size_t>(k) * ts + j];
-      b[static_cast<std::size_t>(j) * ts + i] = s / d;
+    double* xj = x + idx(0, j, ts);
+    for (int k = 0; k < j; ++k) {
+      const double tjk = t[idx(j, k, ts)];
+      const double* xk = x + idx(0, k, ts);
+      for (int i = 0; i < ts; ++i) xj[i] -= xk[i] * tjk;
     }
+    const double d = t[idx(j, j, ts)];
+    for (int i = 0; i < ts; ++i) xj[i] /= d;
   }
 }
 
 void syrk_tile(std::span<const double> a, std::span<double> c, int ts) {
-  for (int j = 0; j < ts; ++j)
-    for (int i = j; i < ts; ++i) {
-      double s = 0.0;
-      for (int k = 0; k < ts; ++k)
-        s += a[static_cast<std::size_t>(k) * ts + i] *
-             a[static_cast<std::size_t>(k) * ts + j];
-      c[static_cast<std::size_t>(j) * ts + i] -= s;
-    }
+  std::vector<double> s(static_cast<std::size_t>(ts));
+  for (int j = 0; j < ts; ++j) {
+    column_dots(a.data(), a.data(), j, j, ts, s.data());
+    double* cj = c.data() + idx(0, j, ts);
+    for (int i = j; i < ts; ++i) cj[i] -= s[static_cast<std::size_t>(i)];
+  }
 }
 
 void gemm_tile(std::span<const double> a, std::span<const double> b,
                std::span<double> c, int ts) {
-  for (int j = 0; j < ts; ++j)
-    for (int i = 0; i < ts; ++i) {
-      double s = 0.0;
-      for (int k = 0; k < ts; ++k)
-        s += a[static_cast<std::size_t>(k) * ts + i] *
-             b[static_cast<std::size_t>(k) * ts + j];
-      c[static_cast<std::size_t>(j) * ts + i] -= s;
-    }
+  std::vector<double> s(static_cast<std::size_t>(ts));
+  for (int j = 0; j < ts; ++j) {
+    column_dots(a.data(), b.data(), j, 0, ts, s.data());
+    double* cj = c.data() + idx(0, j, ts);
+    for (int i = 0; i < ts; ++i) cj[i] -= s[static_cast<std::size_t>(i)];
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Setup & verification
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Copies between the tiled layout and one dense column-major n x n array,
+// one contiguous tile column at a time.
+std::vector<double> to_dense(const TiledMatrix& a) {
+  const int nt = a.num_tiles(), ts = a.tile_size();
+  const auto n = static_cast<std::size_t>(a.n());
+  std::vector<double> dense(n * n);
+  for (int tj = 0; tj < nt; ++tj)
+    for (int ti = 0; ti < nt; ++ti) {
+      const double* tile = a.tile(ti, tj).data();
+      for (int jj = 0; jj < ts; ++jj)
+        std::copy_n(tile + idx(0, jj, ts), ts,
+                    dense.data() + idx(ti * ts, tj * ts + jj, n));
+    }
+  return dense;
+}
+
+void from_dense(const std::vector<double>& dense, TiledMatrix& a) {
+  const int nt = a.num_tiles(), ts = a.tile_size();
+  const auto n = static_cast<std::size_t>(a.n());
+  for (int tj = 0; tj < nt; ++tj)
+    for (int ti = 0; ti < nt; ++ti) {
+      double* tile = a.tile(ti, tj).data();
+      for (int jj = 0; jj < ts; ++jj)
+        std::copy_n(dense.data() + idx(ti * ts, tj * ts + jj, n), ts,
+                    tile + idx(0, jj, ts));
+    }
+}
+
+}  // namespace
+
 void fill_spd(TiledMatrix& a, std::uint64_t seed) {
   util::Rng rng(seed);
-  const int n = a.n();
-  for (int j = 0; j < n; ++j) {
-    for (int i = j; i < n; ++i) {
+  const auto n = static_cast<std::size_t>(a.n());
+  std::vector<double> dense(n * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = j; i < n; ++i) {
       const double v = rng.uniform(-1.0, 1.0);
-      a.at(i, j) = v;
-      a.at(j, i) = v;
+      dense[idx(i, j, n)] = v;
+      dense[idx(j, i, n)] = v;
     }
   }
   // Diagonal dominance guarantees positive definiteness.
-  for (int i = 0; i < n; ++i) a.at(i, i) += n;
+  for (std::size_t i = 0; i < n; ++i) dense[idx(i, i, n)] += a.n();
+  from_dense(dense, a);
 }
 
 void cholesky_reference(TiledMatrix& a) {
@@ -134,15 +191,22 @@ void cholesky_reference(TiledMatrix& a) {
 }
 
 double factor_error(const TiledMatrix& factor, const TiledMatrix& original) {
-  const int n = factor.n();
+  // For each column j: s[i] = sum over ascending k <= j of L(i,k) * L(j,k),
+  // for all i >= j, then compared with A(i,j) in ascending i.
+  const auto n = static_cast<std::size_t>(factor.n());
+  const std::vector<double> l = to_dense(factor);
+  const std::vector<double> a = to_dense(original);
+  std::vector<double> s(n);
   double max_err = 0.0;
-  for (int j = 0; j < n; ++j) {
-    for (int i = j; i < n; ++i) {
-      double s = 0.0;
-      const int kmax = std::min(i, j);
-      for (int k = 0; k <= kmax; ++k) s += factor.at(i, k) * factor.at(j, k);
-      max_err = std::max(max_err, std::abs(s - original.at(i, j)));
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = j; i < n; ++i) s[i] = 0.0;
+    for (std::size_t k = 0; k <= j; ++k) {
+      const double ljk = l[idx(j, k, n)];
+      const double* lk = l.data() + idx(0, k, n);
+      for (std::size_t i = j; i < n; ++i) s[i] += lk[i] * ljk;
     }
+    for (std::size_t i = j; i < n; ++i)
+      max_err = std::max(max_err, std::abs(s[i] - a[idx(i, j, n)]));
   }
   return max_err;
 }

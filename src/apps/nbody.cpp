@@ -1,5 +1,6 @@
 #include "apps/nbody.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "hw/compute.hpp"
@@ -39,6 +40,54 @@ double nbody_flops_per_rank(int total_bodies, int my_bodies) {
   return 20.0 * static_cast<double>(total_bodies) * my_bodies;
 }
 
+void nbody_forces(std::span<const double> all_pos, std::span<const Body> mine,
+                  int first, double eps2, std::span<double> fx,
+                  std::span<double> fy, std::span<double> fz) {
+  const int local = static_cast<int>(mine.size());
+  const int total = static_cast<int>(all_pos.size() / 4);
+  DEEP_EXPECT(first >= 0 && first + local <= total &&
+                  fx.size() == mine.size() && fy.size() == mine.size() &&
+                  fz.size() == mine.size(),
+              "nbody_forces: bad block");
+  // Bodies innermost, as separate coordinate arrays, so the loop over them
+  // vectorises (sqrt and divide included, given -fno-math-errno).  Each
+  // body still sums its pulls in ascending j, as a pair loop would.
+  std::vector<double> xs(mine.size()), ys(mine.size()), zs(mine.size());
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    xs[i] = mine[i].x;
+    ys[i] = mine[i].y;
+    zs[i] = mine[i].z;
+  }
+  std::fill(fx.begin(), fx.end(), 0.0);
+  std::fill(fy.begin(), fy.end(), 0.0);
+  std::fill(fz.begin(), fz.end(), 0.0);
+  const double *x = xs.data(), *y = ys.data(), *z = zs.data();
+  double *ax = fx.data(), *ay = fy.data(), *az = fz.data();
+  // Adds the pull of the body at p to bodies [lo, hi); branch-free.
+  const auto pull = [=](const double* p, int lo, int hi) {
+    for (int i = lo; i < hi; ++i) {
+      const double dx = p[0] - x[i], dy = p[1] - y[i], dz = p[2] - z[i];
+      const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+      const double inv_r = 1.0 / std::sqrt(r2);
+      const double f = p[3] * inv_r * inv_r * inv_r;
+      ax[i] += f * dx;
+      ay[i] += f * dy;
+      az[i] += f * dz;
+    }
+  };
+  for (int j = 0; j < total; ++j) {
+    const double* p = &all_pos[static_cast<std::size_t>(j) * 4];
+    // A body feels no pull from itself: split my range around body j.
+    const int self = j - first;
+    if (self >= 0 && self < local) {
+      pull(p, 0, self);
+      pull(p, self + 1, local);
+    } else {
+      pull(p, 0, local);
+    }
+  }
+}
+
 NBodyResult run_nbody(mpi::Mpi& mpi, const mpi::Comm& comm,
                       const NBodyConfig& config) {
   DEEP_EXPECT(config.steps >= 1, "run_nbody: need at least one step");
@@ -64,26 +113,8 @@ NBodyResult run_nbody(mpi::Mpi& mpi, const mpi::Comm& comm,
     mpi.allgather<double>(comm, std::span<const double>(my_pos),
                           std::span<double>(all_pos));
 
-    const double eps2 = config.softening * config.softening;
-    for (int i = 0; i < local; ++i) {
-      const Body& b = mine[static_cast<std::size_t>(i)];
-      double ax = 0, ay = 0, az = 0;
-      const int me_global = comm.rank() * local + i;
-      for (int j = 0; j < total; ++j) {
-        if (j == me_global) continue;
-        const double* p = &all_pos[static_cast<std::size_t>(j) * 4];
-        const double dx = p[0] - b.x, dy = p[1] - b.y, dz = p[2] - b.z;
-        const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-        const double inv_r = 1.0 / std::sqrt(r2);
-        const double f = p[3] * inv_r * inv_r * inv_r;
-        ax += f * dx;
-        ay += f * dy;
-        az += f * dz;
-      }
-      fx[static_cast<std::size_t>(i)] = ax;
-      fy[static_cast<std::size_t>(i)] = ay;
-      fz[static_cast<std::size_t>(i)] = az;
-    }
+    nbody_forces(all_pos, mine, comm.rank() * local,
+                 config.softening * config.softening, fx, fy, fz);
     for (int i = 0; i < local; ++i) {
       Body& b = mine[static_cast<std::size_t>(i)];
       b.vx += config.dt * fx[static_cast<std::size_t>(i)];

@@ -9,6 +9,7 @@
 // conserves momentum, which the tests check.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mpi/mpi.hpp"
@@ -38,6 +39,14 @@ struct NBodyResult {
 /// Generates this rank's initial particle block (deterministic in
 /// rank+seed; the global initial momentum is exactly zero by construction).
 std::vector<Body> make_bodies(int rank, const NBodyConfig& config);
+
+/// Accelerations on `mine`, the bodies at indices [first, first + mine.size())
+/// of `all_pos` (x, y, z, mass per body), from every other body of
+/// `all_pos`, with softening eps2.  Each component is summed over the other
+/// bodies in ascending index order, starting from 0.
+void nbody_forces(std::span<const double> all_pos, std::span<const Body> mine,
+                  int first, double eps2, std::span<double> fx,
+                  std::span<double> fy, std::span<double> fz);
 
 /// Runs the distributed simulation on `comm`; collective.
 NBodyResult run_nbody(mpi::Mpi& mpi, const mpi::Comm& comm,

@@ -61,6 +61,13 @@ CsrBlock make_banded_matrix(int rank, int nranks, const SpmvConfig& config) {
   DEEP_EXPECT(config.band < config.rows_per_rank,
               "make_banded_matrix: band must be narrower than a rank's rows "
               "(halo only reaches the adjacent ranks)");
+  // A row draws distinct columns from its band until it has enough: an edge
+  // row nnz_per_row - 3 of as few as `band` candidates, an interior row
+  // nnz_per_row - 1 of 2 * band.  Fewer candidates and it never finishes.
+  DEEP_EXPECT(config.band >= config.nnz_per_row - 3 &&
+                  2 * config.band >= config.nnz_per_row - 1,
+              "make_banded_matrix: band too narrow for nnz_per_row (need "
+              "band >= nnz_per_row - 3 and 2 * band >= nnz_per_row - 1)");
   const int n = config.rows_per_rank * nranks;
   const auto nnz = static_cast<std::size_t>(config.rows_per_rank) *
                    static_cast<std::size_t>(config.nnz_per_row);

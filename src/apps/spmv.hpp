@@ -48,7 +48,9 @@ struct CsrBlock {
   std::vector<double> val;
 };
 
-/// Builds this rank's rows of the deterministic global matrix.
+/// Builds this rank's rows of the deterministic global matrix.  Throws
+/// util::UsageError unless band < rows_per_rank, band >= nnz_per_row - 3 and
+/// 2 * band >= nnz_per_row - 1 (enough distinct columns for every row).
 CsrBlock make_banded_matrix(int rank, int nranks, const SpmvConfig& config);
 
 /// Runs power iteration on `comm`; collective, every rank passes the same

@@ -7,9 +7,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/cholesky.hpp"
@@ -98,6 +100,166 @@ TEST(Cholesky, TaskGraphParallelismSpeedsUp) {
 
 TEST(Cholesky, FlopsFormula) {
   EXPECT_NEAR(da::cholesky_flops(100), 1e6 / 3.0, 1.0);
+}
+
+namespace {
+
+// The element-at-a-time loops the tile kernels, fill_spd and factor_error
+// used before they went column-wise, kept verbatim as the references their
+// output must match bit for bit.
+void reference_potrf(std::span<double> a, int ts) {
+  for (int j = 0; j < ts; ++j) {
+    double d = a[static_cast<std::size_t>(j) * ts + j];
+    for (int k = 0; k < j; ++k) {
+      const double v = a[static_cast<std::size_t>(k) * ts + j];
+      d -= v * v;
+    }
+    ASSERT_GT(d, 0.0);
+    d = std::sqrt(d);
+    a[static_cast<std::size_t>(j) * ts + j] = d;
+    for (int i = j + 1; i < ts; ++i) {
+      double s = a[static_cast<std::size_t>(j) * ts + i];
+      for (int k = 0; k < j; ++k)
+        s -= a[static_cast<std::size_t>(k) * ts + i] *
+             a[static_cast<std::size_t>(k) * ts + j];
+      a[static_cast<std::size_t>(j) * ts + i] = s / d;
+    }
+    for (int i = 0; i < j; ++i) a[static_cast<std::size_t>(j) * ts + i] = 0.0;
+  }
+}
+
+void reference_trsm(std::span<const double> t, std::span<double> b, int ts) {
+  for (int j = 0; j < ts; ++j) {
+    const double d = t[static_cast<std::size_t>(j) * ts + j];
+    for (int i = 0; i < ts; ++i) {
+      double s = b[static_cast<std::size_t>(j) * ts + i];
+      for (int k = 0; k < j; ++k)
+        s -= b[static_cast<std::size_t>(k) * ts + i] *
+             t[static_cast<std::size_t>(k) * ts + j];
+      b[static_cast<std::size_t>(j) * ts + i] = s / d;
+    }
+  }
+}
+
+void reference_syrk(std::span<const double> a, std::span<double> c, int ts) {
+  for (int j = 0; j < ts; ++j)
+    for (int i = j; i < ts; ++i) {
+      double s = 0.0;
+      for (int k = 0; k < ts; ++k)
+        s += a[static_cast<std::size_t>(k) * ts + i] *
+             a[static_cast<std::size_t>(k) * ts + j];
+      c[static_cast<std::size_t>(j) * ts + i] -= s;
+    }
+}
+
+void reference_gemm(std::span<const double> a, std::span<const double> b,
+                    std::span<double> c, int ts) {
+  for (int j = 0; j < ts; ++j)
+    for (int i = 0; i < ts; ++i) {
+      double s = 0.0;
+      for (int k = 0; k < ts; ++k)
+        s += a[static_cast<std::size_t>(k) * ts + i] *
+             b[static_cast<std::size_t>(k) * ts + j];
+      c[static_cast<std::size_t>(j) * ts + i] -= s;
+    }
+}
+
+void reference_fill_spd(da::TiledMatrix& a, std::uint64_t seed) {
+  deep::util::Rng rng(seed);
+  const int n = a.n();
+  for (int j = 0; j < n; ++j) {
+    for (int i = j; i < n; ++i) {
+      const double v = rng.uniform(-1.0, 1.0);
+      a.at(i, j) = v;
+      a.at(j, i) = v;
+    }
+  }
+  for (int i = 0; i < n; ++i) a.at(i, i) += n;
+}
+
+double reference_factor_error(const da::TiledMatrix& factor,
+                              const da::TiledMatrix& original) {
+  const int n = factor.n();
+  double max_err = 0.0;
+  for (int j = 0; j < n; ++j) {
+    for (int i = j; i < n; ++i) {
+      double s = 0.0;
+      const int kmax = std::min(i, j);
+      for (int k = 0; k <= kmax; ++k) s += factor.at(i, k) * factor.at(j, k);
+      max_err = std::max(max_err, std::abs(s - original.at(i, j)));
+    }
+  }
+  return max_err;
+}
+
+std::vector<double> random_tile(deep::util::Rng& rng, int ts) {
+  std::vector<double> t(static_cast<std::size_t>(ts) * ts);
+  for (double& v : t) v = rng.uniform(-1.0, 1.0);
+  return t;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+TEST(Cholesky, TileKernelsBitIdenticalToElementLoops) {
+  for (const int ts : {1, 2, 3, 7, 24, 33}) {
+    SCOPED_TRACE("ts=" + std::to_string(ts));
+    deep::util::Rng rng(static_cast<std::uint64_t>(ts) * 1000 + 17);
+    // potrf on a symmetric, diagonally dominant tile.
+    std::vector<double> spd = random_tile(rng, ts);
+    for (int j = 0; j < ts; ++j)
+      for (int i = 0; i < j; ++i)
+        spd[static_cast<std::size_t>(j) * ts + i] =
+            spd[static_cast<std::size_t>(i) * ts + j];
+    for (int i = 0; i < ts; ++i) spd[static_cast<std::size_t>(i) * ts + i] += ts;
+    std::vector<double> got = spd, want = spd;
+    da::potrf_tile(got, ts);
+    reference_potrf(want, ts);
+    EXPECT_TRUE(same_bytes(got, want)) << "potrf";
+    const std::vector<double> factor = want;
+
+    const std::vector<double> b = random_tile(rng, ts);
+    got = b;
+    want = b;
+    da::trsm_tile(factor, got, ts);
+    reference_trsm(factor, want, ts);
+    EXPECT_TRUE(same_bytes(got, want)) << "trsm";
+
+    const std::vector<double> a = random_tile(rng, ts);
+    const std::vector<double> c = random_tile(rng, ts);
+    got = c;
+    want = c;
+    da::syrk_tile(a, got, ts);
+    reference_syrk(a, want, ts);
+    EXPECT_TRUE(same_bytes(got, want)) << "syrk";
+
+    got = c;
+    want = c;
+    da::gemm_tile(a, b, got, ts);
+    reference_gemm(a, b, want, ts);
+    EXPECT_TRUE(same_bytes(got, want)) << "gemm";
+  }
+
+  for (const auto& [nt, ts] : {std::pair{1, 1}, {3, 5}, {8, 24}}) {
+    SCOPED_TRACE("nt=" + std::to_string(nt) + " ts=" + std::to_string(ts));
+    da::TiledMatrix original(nt, ts), want(nt, ts), factor(nt, ts);
+    da::fill_spd(original, 29);
+    reference_fill_spd(want, 29);
+    EXPECT_TRUE(same_bytes(original.storage(), want.storage())) << "fill_spd";
+    factor.storage() = original.storage();
+    da::cholesky_reference(factor);
+    // The real use, and a "factor" far from one, so the error has many bits.
+    for (const auto* l : {&factor, &original}) {
+      const double got_err = da::factor_error(*l, original);
+      const double want_err = reference_factor_error(*l, original);
+      EXPECT_EQ(std::memcmp(&got_err, &want_err, sizeof(double)), 0)
+          << got_err << " vs " << want_err;
+    }
+  }
 }
 
 TEST(Stencil, SequentialHeatFlowsDownward) {
@@ -425,6 +587,72 @@ TEST(NBody, InvalidConfigRejected) {
   EXPECT_THROW(da::make_bodies(0, cfg), deep::util::UsageError);
 }
 
+namespace {
+
+// The pair loop run_nbody used before its force loop went body-innermost,
+// kept verbatim as the reference nbody_forces must match bit for bit.
+void reference_forces(const std::vector<double>& all_pos,
+                      const std::vector<da::Body>& mine, int first, double eps2,
+                      std::vector<double>& fx, std::vector<double>& fy,
+                      std::vector<double>& fz) {
+  const int local = static_cast<int>(mine.size());
+  const int total = static_cast<int>(all_pos.size() / 4);
+  for (int i = 0; i < local; ++i) {
+    const da::Body& b = mine[static_cast<std::size_t>(i)];
+    double ax = 0, ay = 0, az = 0;
+    const int me_global = first + i;
+    for (int j = 0; j < total; ++j) {
+      if (j == me_global) continue;
+      const double* p = &all_pos[static_cast<std::size_t>(j) * 4];
+      const double dx = p[0] - b.x, dy = p[1] - b.y, dz = p[2] - b.z;
+      const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+      const double inv_r = 1.0 / std::sqrt(r2);
+      const double f = p[3] * inv_r * inv_r * inv_r;
+      ax += f * dx;
+      ay += f * dy;
+      az += f * dz;
+    }
+    fx[static_cast<std::size_t>(i)] = ax;
+    fy[static_cast<std::size_t>(i)] = ay;
+    fz[static_cast<std::size_t>(i)] = az;
+  }
+}
+
+}  // namespace
+
+// Three ranks, so the self bodies sit in the first, middle and last block.
+TEST(NBody, ForcesBitIdenticalToPairLoop) {
+  constexpr int kRanks = 3;
+  for (const int per_rank : {2, 6, 32}) {
+    da::NBodyConfig cfg;
+    cfg.bodies_per_rank = per_rank;
+    deep::util::Rng rng(static_cast<std::uint64_t>(per_rank));
+    std::vector<std::vector<da::Body>> blocks;
+    std::vector<double> all_pos;
+    for (int r = 0; r < kRanks; ++r) {
+      blocks.push_back(da::make_bodies(r, cfg));
+      for (da::Body& b : blocks.back()) {
+        b.mass = rng.uniform(0.5, 2.0);
+        all_pos.insert(all_pos.end(), {b.x, b.y, b.z, b.mass});
+      }
+    }
+    const double eps2 = cfg.softening * cfg.softening;
+    for (int r = 0; r < kRanks; ++r) {
+      SCOPED_TRACE("per_rank=" + std::to_string(per_rank) +
+                   " rank=" + std::to_string(r));
+      const auto n = static_cast<std::size_t>(per_rank);
+      std::vector<double> fx(n), fy(n), fz(n), wx(n), wy(n), wz(n);
+      da::nbody_forces(all_pos, blocks[static_cast<std::size_t>(r)],
+                       r * per_rank, eps2, fx, fy, fz);
+      reference_forces(all_pos, blocks[static_cast<std::size_t>(r)],
+                       r * per_rank, eps2, wx, wy, wz);
+      EXPECT_TRUE(same_bytes(fx, wx));
+      EXPECT_TRUE(same_bytes(fy, wy));
+      EXPECT_TRUE(same_bytes(fz, wz));
+    }
+  }
+}
+
 TEST(NBody, FlopsModel) {
   EXPECT_DOUBLE_EQ(da::nbody_flops_per_rank(1000, 100), 20.0 * 1000 * 100);
 }
@@ -640,14 +868,16 @@ da::SpmvResult reference_spmv_power(deep::mpi::Mpi& mpi,
 // (rows_per_rank, band, nnz_per_row): row counts that leave 1-3 rows after
 // the last run of 4, and bands narrow enough that edge rows come out short,
 // so runs of unequal row lengths fall back to one row at a time.  The
-// builder needs band >= nnz_per_row - 3, or an edge row never fills.
+// builder needs band >= nnz_per_row - 3 and 2 * band >= nnz_per_row - 1, or
+// a row never fills; {9, 2, 4} sits on the second bound.
 struct SpmvShape {
   int rows;
   int band;
   int nnz;
 };
 constexpr SpmvShape kSpmvShapes[] = {
-    {5, 4, 7}, {6, 3, 5}, {7, 5, 8}, {8, 4, 6}, {13, 6, 8}, {130, 16, 8}};
+    {5, 4, 7}, {6, 3, 5}, {7, 5, 8}, {8, 4, 6}, {9, 2, 4}, {13, 6, 8},
+    {130, 16, 8}};
 
 }  // namespace
 
@@ -712,4 +942,24 @@ TEST(Spmv, InvalidConfigRejected) {
   da::SpmvConfig cfg;
   cfg.band = cfg.rows_per_rank;  // halo would need to reach beyond neighbours
   EXPECT_THROW(da::make_banded_matrix(0, 2, cfg), deep::util::UsageError);
+  // Bands too narrow for the row's columns: the build used to never return.
+  // (band 4, nnz 8): edge rows need 5 distinct columns from 4 candidates;
+  // (band 1, nnz 4): interior rows need 3 from 2.
+  for (const auto& [band, nnz] : {std::pair{4, 8}, {1, 4}}) {
+    cfg.band = band;
+    cfg.nnz_per_row = nnz;
+    try {
+      da::make_banded_matrix(0, 2, cfg);
+      ADD_FAILURE() << "band " << band << " nnz " << nnz << " not rejected";
+    } catch (const deep::util::UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("band"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("nnz_per_row"), std::string::npos);
+    }
+  }
+  // The narrowest bands that fill every row still build.
+  for (const auto& [band, nnz] : {std::pair{5, 8}, {2, 4}}) {
+    cfg.band = band;
+    cfg.nnz_per_row = nnz;
+    EXPECT_NO_THROW(da::make_banded_matrix(0, 2, cfg));
+  }
 }
