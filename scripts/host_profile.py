@@ -14,7 +14,7 @@ Two tables follow the command's own output (which passes through):
 - layers: a sample counts for the innermost frame that is a `deep::<layer>::`
   function.  Samples in a shared object without such a frame form a row of
   their own, named after the object (libc, libstdc++, libm, ...); samples in
-  the executable with none (main, gtest, the benchmark driver) form `other`.
+  the executable with none (main, gtest, perfbench's own code) form `other`.
 - the top outermost functions: the function the sampled instruction lies
   in, after inlining.
 
