@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Samples where a command spends host CPU time, per DEEPsim layer.
 
-    scripts/host_profile.py [--sampler LIB] [--interval-us N] [--top N]
+    scripts/host_profile.py [--sampler LIB]
                             [--check-min-samples N] [--check-layer L]
                             -- COMMAND [ARGS...]
 
 Runs COMMAND with the host_sampler library (tools/host_sampler.cpp) in
 LD_PRELOAD; the library samples the program counter on every SIGPROF, that
-is once per --interval-us of process CPU time, in every thread.  Each sampled
+is once per millisecond of process CPU time, in every thread.  Each sampled
 address is resolved with `addr2line -i -f -C`, inlined frames included.
 
 Two tables follow the command's own output (which passes through):
@@ -15,7 +15,7 @@ Two tables follow the command's own output (which passes through):
   function.  Samples in a shared object without such a frame form a row of
   their own, named after the object (libc, libstdc++, libm, ...); samples in
   the executable with none (main, gtest, perfbench's own code) form `other`.
-- the top outermost functions: the function the sampled instruction lies
+- the TOP_FUNCTIONS most sampled outermost functions: the function the sampled instruction lies
   in, after inlining.
 
 Inline frames need debug info (-g); without it every sample goes to its
@@ -38,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SAMPLER = ROOT / "build" / "tools" / "libhost_sampler.so"
+TOP_FUNCTIONS = 15
 
 
 def read_samples(prefix):
@@ -173,8 +174,6 @@ def main():
     parser = argparse.ArgumentParser(
         description="Per-layer host CPU profile of a command.")
     parser.add_argument("--sampler", help="path of libhost_sampler.so")
-    parser.add_argument("--interval-us", type=int, default=1000)
-    parser.add_argument("--top", type=int, default=15)
     parser.add_argument("--check-min-samples", type=int, default=0)
     parser.add_argument("--check-layer")
     parser.add_argument("command", nargs=argparse.REMAINDER)
@@ -190,7 +189,6 @@ def main():
     with tempfile.TemporaryDirectory(prefix="host_profile.") as tmp:
         prefix = os.path.join(tmp, "samples")
         env = dict(os.environ, HOST_SAMPLER_OUT=prefix,
-                   HOST_SAMPLER_US=str(args.interval_us),
                    LD_PRELOAD=str(sampler.resolve()))
         status = subprocess.run(command, env=env, check=False).returncode
         interval, total, layers, functions = profile(prefix)
@@ -200,8 +198,8 @@ def main():
     print("%-22s %8s %7s" % ("layer", "samples", "share"))
     for layer, count in layers.most_common():
         print("%-22s %8d %6.1f%%" % (layer, count, 100.0 * count / max(total, 1)))
-    print("top %d outermost functions:" % args.top)
-    for name, count in functions.most_common(args.top):
+    print("top %d outermost functions:" % TOP_FUNCTIONS)
+    for name, count in functions.most_common(TOP_FUNCTIONS):
         print("%8d %6.1f%%  %s" % (count, 100.0 * count / max(total, 1),
                                    short(name)))
 

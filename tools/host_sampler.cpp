@@ -1,8 +1,8 @@
 // host_sampler — a statistical host-CPU profiler loaded with LD_PRELOAD.
 //
 // When HOST_SAMPLER_OUT is set, the library arms ITIMER_PROF at load time.
-// Every SIGPROF (one per HOST_SAMPLER_US microseconds of process CPU time,
-// default 1000) records the interrupted program counter, whatever code it is
+// Every SIGPROF (one per kIntervalUs microseconds of process CPU time)
+// records the interrupted program counter, whatever code it is
 // in: inlined callees, libc and other shared objects included.  At exit the
 // process writes <HOST_SAMPLER_OUT>.<pid>: its /proc/self/maps, then each
 // sampled address with its count.  scripts/host_profile.py runs a command
@@ -28,12 +28,12 @@
 namespace {
 
 constexpr std::size_t kMaxSamples = std::size_t{1} << 20;
+constexpr long kIntervalUs = 1000;
 
 std::uintptr_t g_pcs[kMaxSamples];
 std::atomic<std::size_t> g_taken{0};
 const char* g_prefix = nullptr;
 pid_t g_pid = 0;
-long g_interval_us = 1000;
 
 void on_sigprof(int, siginfo_t*, void* raw) {
   const auto* uc = static_cast<const ucontext_t*>(raw);
@@ -63,17 +63,13 @@ __attribute__((constructor)) void start_sampling() {
     g_prefix = nullptr;
     return;
   }
-  if (const char* us = std::getenv("HOST_SAMPLER_US")) {
-    const long v = std::strtol(us, nullptr, 10);
-    if (v > 0) g_interval_us = v;
-  }
   g_pid = getpid();
   struct sigaction sa {};
   sa.sa_sigaction = on_sigprof;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&sa.sa_mask);
   sigaction(SIGPROF, &sa, nullptr);
-  set_timer(g_interval_us);
+  set_timer(kIntervalUs);
 }
 
 __attribute__((destructor)) void write_samples() {
@@ -85,7 +81,7 @@ __attribute__((destructor)) void write_samples() {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return;
   std::fprintf(out, "host_sampler interval_us %ld samples %zu dropped %zu\n",
-               g_interval_us, kept, taken - kept);
+               kIntervalUs, kept, taken - kept);
   if (std::FILE* maps = std::fopen("/proc/self/maps", "r")) {
     char line[4096];
     while (std::fgets(line, sizeof line, maps) != nullptr)
