@@ -10,12 +10,17 @@
 // tests), and burns the modelled roofline time for the sweep.
 //
 // The sweep runs in place: per rank it holds one (rows + 2) x nx grid plus
-// two nx-cell scratch rows, not a second grid.  New row r is computed into
-// a scratch row from the old rows r-1, r and r+1 and written back to the
-// grid one row late, once new row r+1 has read old row r.  Every cell is
-// still 0.25 * (((N + S) + W) + E) of the previous iteration's values, so
-// results and checkpointed states are bit-identical to a two-grid sweep.
+// two nx-cell scratch rows, not a second grid.  It makes one vectorised
+// pass per row r: the pass computes new row r into a scratch row from the
+// old rows r-1, r and r+1 and, column by column, writes new row r-1 over
+// old row r-1 as soon as the update has read it for the last time.  Every
+// cell is still 0.25 * (((N + S) + W) + E) of the previous iteration's
+// values, so results and checkpointed states are bit-identical to a
+// two-grid sweep.
+// The residual max |new - old| is folded into the same pass, but only on
+// the sweeps that read it: the last iteration and the checkpointed ones.
 
+#include <span>
 #include <vector>
 
 #include "mpi/mpi.hpp"
@@ -50,6 +55,13 @@ struct StencilResult {
 /// with identical configuration.  Returns the globally-reduced result.
 StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
                          const StencilConfig& config);
+
+/// One sweep of run_jacobi, in place on a rank's row-major (rows + 2) x nx
+/// `grid` with two nx-cell `scratch` rows; halo rows 0 and rows+1 and the
+/// edge columns keep their values.  Returns max |new - old| over the
+/// interior cells, NaN differences skipped as std::max(m, d) skips them.
+double jacobi_sweep(std::span<double> grid, int nx, int rows,
+                    std::span<double> scratch);
 
 /// Irregular counterpart for the scalability study (slide 9: "most
 /// applications are more complex — complicated communication patterns").

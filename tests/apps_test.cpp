@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
@@ -333,9 +334,28 @@ TEST(Stencil, InvalidConfigRejected) {
 
 namespace {
 
-// The two-grid Jacobi sweep run_jacobi used before it went in place, kept
-// verbatim (minus checkpointing) as the reference its results must match
-// bit for bit.
+// One two-grid sweep of the interior, scalar, one running std::max: the
+// sweep run_jacobi used before it went in place.
+double reference_sweep(std::vector<double>& grid, int nx, int rows) {
+  const auto idx = [nx](int r, int c) {
+    return static_cast<std::size_t>(r) * nx + c;
+  };
+  std::vector<double> next(grid);
+  double max_update = 0.0;
+  for (int r = 1; r <= rows; ++r) {
+    for (int c = 1; c < nx - 1; ++c) {
+      const double v = 0.25 * (grid[idx(r - 1, c)] + grid[idx(r + 1, c)] +
+                               grid[idx(r, c - 1)] + grid[idx(r, c + 1)]);
+      max_update = std::max(max_update, std::abs(v - grid[idx(r, c)]));
+      next[idx(r, c)] = v;
+    }
+  }
+  grid.swap(next);
+  return max_update;
+}
+
+// run_jacobi as it was before its sweep went in place, kept (minus
+// checkpointing) as the reference its results must match bit for bit.
 da::StencilResult reference_jacobi(deep::mpi::Mpi& mpi,
                                    const deep::mpi::Comm& comm,
                                    const da::StencilConfig& config) {
@@ -349,7 +369,6 @@ da::StencilResult reference_jacobi(deep::mpi::Mpi& mpi,
     return static_cast<std::size_t>(r) * nx + c;
   };
   std::vector<double> grid(static_cast<std::size_t>(rows + 2) * nx, 0.0);
-  std::vector<double> next(grid.size(), 0.0);
   if (me == 0)
     for (int c = 0; c < nx; ++c) grid[idx(0, c)] = config.top_value;
 
@@ -377,20 +396,7 @@ da::StencilResult reference_jacobi(deep::mpi::Mpi& mpi,
     }
     mpi.wait_all(reqs);
 
-    last_update = 0.0;
-    for (int r = 1; r <= rows; ++r) {
-      for (int c = 1; c < nx - 1; ++c) {
-        const double v = 0.25 * (grid[idx(r - 1, c)] + grid[idx(r + 1, c)] +
-                                 grid[idx(r, c - 1)] + grid[idx(r, c + 1)]);
-        last_update = std::max(last_update, std::abs(v - grid[idx(r, c)]));
-        next[idx(r, c)] = v;
-      }
-      next[idx(r, 0)] = grid[idx(r, 0)];
-      next[idx(r, nx - 1)] = grid[idx(r, nx - 1)];
-    }
-    std::copy_n(&grid[idx(0, 0)], nx, &next[idx(0, 0)]);
-    std::copy_n(&grid[idx(rows + 1, 0)], nx, &next[idx(rows + 1, 0)]);
-    grid.swap(next);
+    last_update = reference_sweep(grid, nx, rows);
   }
 
   double local_sum = 0.0;
@@ -415,47 +421,93 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 }  // namespace
 
 // The in-place sweep must reproduce the two-grid sweep exactly: same
-// residual and checksum bits.  The widths hit every tail length of the
-// sweep's 4-lane max loop (interior width nx - 2 = 1..5, 22, 255).
+// residual and checksum bits.  The interior widths nx - 2 (1..16, 22, 255,
+// 256) give every remainder of the fused pass's 8-cell step, with and
+// without full steps before it.  A NaN or +inf top edge makes NaN
+// differences (NaN - x, inf - inf), which the residual must skip as
+// std::max(m, d) in the reference does.
 TEST(Stencil, SweepBitIdenticalToReference) {
-  for (const int ranks : {1, 3}) {
-    for (const int nx : {3, 4, 5, 6, 7, 24, 257}) {
-      SCOPED_TRACE("ranks=" + std::to_string(ranks) +
-                   " nx=" + std::to_string(nx));
-      da::StencilConfig cfg;
-      cfg.nx = nx;
-      cfg.rows = 5;
-      cfg.iterations = 30;
-      cfg.top_value = 0.7;  // not dyadic, so every sum rounds
-      MpiRig rig(ranks);
-      rig.run([&](deep::mpi::Mpi& mpi) {
-        const auto got = da::run_jacobi(mpi, mpi.world(), cfg);
-        const auto want = reference_jacobi(mpi, mpi.world(), cfg);
-        EXPECT_GT(want.residual, 0.0);
-        EXPECT_EQ(bits(got.residual), bits(want.residual));
-        EXPECT_EQ(bits(got.checksum), bits(want.checksum));
-        EXPECT_EQ(got.halo_messages, want.halo_messages);
-      });
+  const double tops[] = {0.7,  // not dyadic, so every sum rounds
+                         std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()};
+  std::vector<int> widths;
+  for (int nx = 3; nx <= 18; ++nx) widths.push_back(nx);
+  widths.insert(widths.end(), {24, 257, 258});
+  for (const double top : tops) {
+    for (const int ranks : {1, 3}) {
+      for (const int nx : widths) {
+        SCOPED_TRACE("top=" + std::to_string(top) + " ranks=" +
+                     std::to_string(ranks) + " nx=" + std::to_string(nx));
+        da::StencilConfig cfg;
+        cfg.nx = nx;
+        cfg.rows = 5;
+        cfg.iterations = 30;
+        cfg.top_value = top;
+        MpiRig rig(ranks);
+        rig.run([&](deep::mpi::Mpi& mpi) {
+          const auto got = da::run_jacobi(mpi, mpi.world(), cfg);
+          const auto want = reference_jacobi(mpi, mpi.world(), cfg);
+          if (std::isfinite(top)) {
+            EXPECT_GT(want.residual, 0.0);
+          }
+          EXPECT_EQ(bits(got.residual), bits(want.residual));
+          EXPECT_EQ(bits(got.checksum), bits(want.checksum));
+          EXPECT_EQ(got.halo_messages, want.halo_messages);
+        });
+      }
     }
   }
 }
 
-// A run that loses a booster node, restores from a checkpoint and replays
-// must end with the fault-free run's bits, and both with the reference's.
-TEST(Stencil, CheckpointRestoreBitIdenticalToReference) {
-  constexpr std::int64_t kUs = 1'000'000;  // picoseconds per microsecond
-  deep::testing::ResiliencyConfig rcfg;  // stencil, 2 CN + 2 BN ranks
-  const auto fault_free = deep::testing::run_resiliency(rcfg, {});
-  deep::net::FaultSpec kill;
-  kill.seed = 3;
-  kill.nodes.push_back({deep::sim::TimePoint{400 * kUs}, 2, false});
-  kill.nodes.push_back({deep::sim::TimePoint{900 * kUs}, 2, true});
-  const auto restored = deep::testing::run_resiliency(rcfg, kill);
-  ASSERT_TRUE(fault_free.completed);
-  ASSERT_TRUE(restored.completed);
-  EXPECT_GT(restored.restores, 0) << "the kill must force a checkpoint restore";
-  EXPECT_EQ(bits(restored.checksum), bits(fault_free.checksum));
-  EXPECT_EQ(bits(restored.quality), bits(fault_free.quality));
+// One sweep on random grids, against the scalar two-grid sweep: every grid
+// bit and the residual's bits.  NaN and +inf cells put NaN differences
+// between finite ones in every lane, so a vector max that let a NaN in
+// would lose the maxima before it.  (Only the one quiet NaN is planted and
+// no -inf, so every NaN cell has the same bits whatever the add order.)
+TEST(Stencil, FusedSweepBitIdenticalOnRandomGrids) {
+  deep::util::Rng rng(2013);
+  for (int nx = 3; nx <= 40; ++nx) {
+    for (const int rows : {1, 2, 7}) {
+      SCOPED_TRACE("nx=" + std::to_string(nx) +
+                   " rows=" + std::to_string(rows));
+      std::vector<double> want(static_cast<std::size_t>(rows + 2) * nx);
+      for (double& v : want) {
+        v = rng.uniform(-8.0, 8.0);
+        if (rng.chance(0.05)) v = std::numeric_limits<double>::quiet_NaN();
+        if (rng.chance(0.02)) v = std::numeric_limits<double>::infinity();
+      }
+      std::vector<double> got(want);
+      std::vector<double> scratch(2 * static_cast<std::size_t>(nx));
+      const double got_max = da::jacobi_sweep(got, nx, rows, scratch);
+      const double want_max = reference_sweep(want, nx, rows);
+      EXPECT_EQ(bits(got_max), bits(want_max));
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0);
+    }
+  }
+}
+
+namespace {
+
+struct RestoredRuns {
+  deep::testing::ResiliencyOutcome fault_free;
+  deep::testing::ResiliencyOutcome restored;
+};
+
+// Runs the resiliency rig's stencil fault-free and under `kill`.  A run
+// that loses a booster node, restores from a checkpoint and replays must
+// end with the fault-free run's bits, and both with the reference's.
+RestoredRuns expect_restore_bit_identical(const deep::net::FaultSpec& kill) {
+  const deep::testing::ResiliencyConfig rcfg;  // stencil, 2 CN + 2 BN ranks
+  RestoredRuns runs{deep::testing::run_resiliency(rcfg, {}),
+                    deep::testing::run_resiliency(rcfg, kill)};
+  EXPECT_TRUE(runs.fault_free.completed);
+  EXPECT_TRUE(runs.restored.completed);
+  EXPECT_GT(runs.restored.restores, 0)
+      << "the kill must force a checkpoint restore";
+  EXPECT_EQ(bits(runs.restored.checksum), bits(runs.fault_free.checksum));
+  EXPECT_EQ(bits(runs.restored.quality), bits(runs.fault_free.quality));
 
   // The same global problem through the reference sweep (same decomposition,
   // so the same summation order in the reductions).
@@ -469,8 +521,36 @@ TEST(Stencil, CheckpointRestoreBitIdenticalToReference) {
     const auto r = reference_jacobi(mpi, mpi.world(), cfg);
     if (mpi.rank() == 0) want = r;
   });
-  EXPECT_EQ(bits(fault_free.checksum), bits(want.checksum));
-  EXPECT_EQ(bits(fault_free.quality), bits(want.residual));
+  EXPECT_EQ(bits(runs.fault_free.checksum), bits(want.checksum));
+  EXPECT_EQ(bits(runs.fault_free.quality), bits(want.residual));
+  return runs;
+}
+
+constexpr std::int64_t kUs = 1'000'000;  // picoseconds per microsecond
+
+}  // namespace
+
+TEST(Stencil, CheckpointRestoreBitIdenticalToReference) {
+  deep::net::FaultSpec kill;
+  kill.seed = 3;
+  kill.nodes.push_back({deep::sim::TimePoint{400 * kUs}, 2, false});
+  kill.nodes.push_back({deep::sim::TimePoint{900 * kUs}, 2, true});
+  expect_restore_bit_identical(kill);
+}
+
+// The rig's 10 iterations are a multiple of its checkpoint interval (2), and
+// the kill comes after every rank's last save: the restored attempt resumes
+// at the final version, runs no iteration and returns the residual straight
+// from the checkpoint.  So the final checkpoint must hold the residual, and
+// the restore must bring it back.
+TEST(Stencil, FinalCheckpointRestoreBitIdenticalToReference) {
+  deep::net::FaultSpec kill;
+  kill.seed = 3;
+  kill.nodes.push_back({deep::sim::TimePoint{586 * kUs}, 2, false});
+  kill.nodes.push_back({deep::sim::TimePoint{900 * kUs}, 2, true});
+  const auto runs = expect_restore_bit_identical(kill);
+  // Every save happened before the kill and none after the restore.
+  EXPECT_EQ(runs.restored.saves, runs.fault_free.saves);
 }
 
 TEST(Irregular, CompletesOnBothFabrics) {
