@@ -16,7 +16,9 @@ Two tables follow the command's own output (which passes through):
   their own, named after the object (libc, libstdc++, libm, ...); samples in
   the executable with none (main, gtest, perfbench's own code) form `other`.
 - the TOP_FUNCTIONS most sampled outermost functions: the function the sampled instruction lies
-  in, after inlining.
+  in, after inlining.  An object without a symbol table (.symtab), such as
+  a stripped libc, has one row `<object> (no symbols)`: addr2line would name
+  its samples after the nearest exported symbol, which is mostly wrong.
 
 Inline frames need debug info (-g); without it every sample goes to its
 outermost function's layer.  --check-min-samples and --check-layer turn the
@@ -78,6 +80,14 @@ def is_shared_elf(path):
     return header[:4] == b"\x7fELF" and header[16] == 3
 
 
+@functools.lru_cache(maxsize=None)
+def has_symtab(path):
+    """True when the ELF object `path` has a .symtab section."""
+    out = subprocess.run(["readelf", "-S", "-W", path], capture_output=True,
+                         text=True, check=False).stdout
+    return " .symtab " in out
+
+
 def load_bias(path, regions_of_all):
     """Address at which `path` is mapped with file offset 0 (0 for ET_EXEC)."""
     if not is_shared_elf(path):
@@ -131,6 +141,7 @@ def profile(prefix):
     functions = collections.Counter()
     wanted = collections.defaultdict(set)   # object -> addresses
     placed = []                             # (object, addr, count, is_exe)
+    unnamed = set()                         # objects without a .symtab
     biases = {}                             # (pid file, object) -> bias
     for pid_file, pc, count in pcs:
         regions = maps.get(pid_file, [])
@@ -146,9 +157,14 @@ def profile(prefix):
         if bias is None:
             placed.append((obj or "?", None, count, False))
             continue
+        is_exe = not re.search(r"\.so(\.|$)", obj)
+        if not has_symtab(obj):
+            unnamed.add(obj)
+            placed.append((obj, None, count, is_exe))
+            continue
         addr = pc - bias
         wanted[obj].add(addr)
-        placed.append((obj, addr, count, not re.search(r"\.so(\.|$)", obj)))
+        placed.append((obj, addr, count, is_exe))
     resolved = {obj: resolve(obj, sorted(addrs)) for obj, addrs in wanted.items()}
     total = 0
     for obj, addr, count, is_exe in placed:
@@ -160,7 +176,9 @@ def profile(prefix):
             layer = "other" if is_exe else object_row(obj or "?")
         layers[layer] += count
         outer = chain[-1] if chain else "?"
-        if not is_exe:
+        if obj in unnamed:
+            outer = "%s (no symbols)" % object_row(obj)
+        elif not is_exe:
             outer += " [%s]" % object_row(obj or "?")
         functions[outer] += count
     return interval, total, layers, functions
