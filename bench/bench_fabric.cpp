@@ -1,13 +1,14 @@
 // Micro-benchmarks of the per-message hot path (wall-clock, via
 // google-benchmark): fabric send/delivery cost on the torus and crossbar,
 // CBP gateway bridging, and the MPI eager path end to end.  These are the
-// numbers behind results/BENCH_fabric.json (scripts/run_bench_fabric.sh):
+// numbers behind the `fabric` rows of results/BENCH.json
+// (scripts/bench.py run fabric):
 // the simulator's cost-per-message is the scaling ceiling for booster-style
 // many-small-message traffic, so this file guards it against regressions.
 //
 // The *_Metrics variants run the identical workload with an obs::Registry
-// attached to the engine; scripts/run_bench_fabric.sh --with-metrics divides
-// the two to record the observability overhead (budget: < 5%).
+// attached to the engine; scripts/bench.py divides the two to record the
+// observability overhead (budget: < 5%).
 
 #include <benchmark/benchmark.h>
 

@@ -23,11 +23,12 @@
 // The acceptance claims are (a) bit-identical outcomes at every worker
 // count, checked here via (events, final time, per-partition sinks), and
 // (b) wall-clock speedup on multi-core hosts — gated by
-// scripts/check_bench_parallel.sh against baseline.speedup_floor, skipped
+// scripts/bench.py check parallel against its 3.0 speedup floor, skipped
 // when the host has fewer cores than the gate's worker count.
 //
 // Prints the table; --json PATH additionally records the machine-readable
-// result (scripts/run_bench_parallel.sh writes results/BENCH_parallel.json).
+// result (scripts/bench.py run parallel reduces it to rows of
+// results/BENCH.json).
 // host_cpus and "undersubscribed" are recorded because speedup is bounded
 // by physical cores: on a 1-CPU container every worker count must take
 // about the same wall-clock.
@@ -373,8 +374,8 @@ int main(int argc, char** argv) {
     out << "  ],\n";
     out << "  \"history\": [],\n";
     out << "  \"notes\": \"gate_speedup is min over workloads of the "
-           "speedup at gate_workers; scripts/check_bench_parallel.sh "
-           "enforces baseline.speedup_floor unless undersubscribed; "
+           "speedup at gate_workers; scripts/bench.py check parallel "
+           "enforces the speedup floor unless undersubscribed; "
            "outcomes (events, final time, sinks) must be identical at "
            "every worker count\"\n}\n";
     std::printf("wrote %s\n", json_path.c_str());
@@ -382,7 +383,7 @@ int main(int argc, char** argv) {
 
   return db::verdict(
       "identical simulation outcomes at every worker count (speedups are "
-      "recorded for scripts/check_bench_parallel.sh, which gates them on "
+      "recorded for scripts/bench.py check parallel, which gates them on "
       "multi-core hosts)",
       deterministic);
 }

@@ -20,7 +20,7 @@
 // CI compares it against the checked-in baseline.
 //
 // Prints the table; --json PATH records the machine-readable result
-// (scripts/run_bench_service.sh writes results/BENCH_service.json);
+// (scripts/bench.py run service reduces it to rows of results/BENCH.json);
 // --smoke shrinks the job counts for CI. --workers N sizes the pool.
 
 #include <algorithm>

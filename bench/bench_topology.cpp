@@ -7,8 +7,8 @@
 // {chaos on/off} — running every cell through the full service session
 // (DeepSystem, gateways, MPI, verification) twice and fingerprinting the
 // outcome.  Everything recorded is virtual-time, so the whole matrix is
-// host-independent: scripts/check_bench_topology.sh gates per-cell
-// fingerprint equality across runs AND against the checked-in baseline,
+// host-independent: scripts/bench.py check topology gates per-cell
+// fingerprint equality across runs AND against the checked-in ledger,
 // plus the relative orderings measured by the fabric-level section below:
 //
 //   * a non-blocking fat-tree completes cross-leaf exchange no later than
@@ -22,7 +22,7 @@
 //     drops on a killed link.
 //
 // Prints the tables; --json PATH records the machine-readable result
-// (scripts/run_bench_topology.sh writes results/BENCH_topology.json).
+// (scripts/bench.py run topology reduces it to rows of results/BENCH.json).
 // --smoke is accepted for CI symmetry with the other benches: every cell is
 // virtual-time-bound and cheap, so smoke runs use identical parameters and
 // must reproduce the committed fingerprints exactly.
@@ -406,8 +406,8 @@ int main(int argc, char** argv) {
         << "\n  },\n";
     out << "  \"history\": [],\n";
     out << "  \"notes\": \"everything recorded is virtual-time and "
-           "host-independent; scripts/check_bench_topology.sh gates per-cell "
-           "fingerprints against this baseline plus the ordering assertions "
+           "host-independent; scripts/bench.py check topology gates per-cell "
+           "fingerprints against the ledger plus the ordering assertions "
            "(non-blocking <= oversubscribed, adaptive <= static under "
            "congestion, dragonfly reroutes where the torus drops)\"\n}\n";
     std::printf("wrote %s\n", json_path.c_str());

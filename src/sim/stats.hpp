@@ -60,10 +60,4 @@ class Summary {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Monotonic counter bundle for network/runtime bookkeeping.
-struct Counter {
-  std::int64_t value = 0;
-  void inc(std::int64_t by = 1) { value += by; }
-};
-
 }  // namespace deep::sim

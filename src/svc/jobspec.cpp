@@ -210,11 +210,11 @@ bool JobSpec::validate(Reject& reject) const {
     return false;
   }
   if (procs < 1) {
-    reject = {"bad_topology", "procs", "need at least one booster rank"};
+    reject = {"bad_spec", "procs", "need at least one booster rank"};
     return false;
   }
   if (procs > booster) {
-    reject = {"bad_topology", "procs",
+    reject = {"bad_spec", "procs",
               "procs (" + std::to_string(procs) +
                   ") exceed booster nodes (" + std::to_string(booster) + ")"};
     return false;

@@ -284,7 +284,7 @@ TEST(ServiceRejects, DeterministicAndLeakFree) {
   const std::vector<std::pair<std::string, std::string>> cases = {
       {R"({"workload":"warp"})", "bad_workload"},
       {R"({"booster":0})", "bad_topology"},
-      {R"({"procs":9})", "bad_topology"},
+      {R"({"procs":9})", "bad_spec"},
       {R"({"partitions":99})", "bad_topology"},
       {R"({"speculation":8})", "bad_spec"},
       {R"({"boster":4})", "bad_spec"},

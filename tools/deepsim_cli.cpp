@@ -36,6 +36,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -46,7 +47,7 @@
 #include "obs/metrics.hpp"
 #include "ompss/offload.hpp"
 #include "sim/trace.hpp"
-#include "svc/service.hpp"
+#include "svc/serve.hpp"
 #include "sys/report.hpp"
 #include "sys/system.hpp"
 #include "util/csv.hpp"
@@ -281,52 +282,24 @@ bool run_spmv(dsy::DeepSystem& system, const Options& opt,
 
 }  // namespace
 
-/// Minimal synchronous service loop: one request per line, one response per
-/// line, jobs run one at a time.  deepsimd is the pipelined daemon with
-/// socket support and fork-per-job mode; this keeps one-off scripted use
-/// ("pipe specs through deepsim") dependency-free.
-int serve_loop() {
-  namespace dsv = deep::svc;
-  dsv::Service service(dsv::ServiceConfig{});
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    const dsv::ParseResult parsed = dsv::Json::parse(line);
-    const dsv::Json* op = parsed.ok ? parsed.value.find("op") : nullptr;
-    const std::string op_name =
-        op != nullptr && op->is_string() ? op->as_string() : "";
-    if (op_name == "run") {
-      const dsv::Json* spec = parsed.value.find("spec");
-      const dsv::JobResult r =
-          service.run(spec != nullptr ? spec->dump() : "null");
-      std::cout << r.to_json().dump() << '\n' << std::flush;
-    } else if (op_name == "stats") {
-      dsv::Json j = dsv::Json::object();
-      j.set("status", "ok");
-      j.set("stats", service.stats_json());
-      std::cout << j.dump() << '\n' << std::flush;
-    } else if (op_name == "quit") {
-      std::cout << "{\"status\":\"ok\"}\n" << std::flush;
-      break;
-    } else {
-      dsv::Json err = dsv::Json::object();
-      err.set("status", "rejected");
-      err.set("reject", dsv::Reject{"bad_op", "op",
-                                    "expected \"run\", \"stats\" or \"quit\""}
-                            .to_json());
-      std::cout << err.dump() << '\n' << std::flush;
-    }
-  }
-  return 0;
-}
-
 int main(int argc, char** argv) {
   Options opt;
   if (!parse(argc, argv, opt)) {
     usage();
     return 2;
   }
-  if (opt.serve) return serve_loop();
+  if (opt.serve) {
+    // deepsimd's protocol loop on one worker: jobs run one at a time in
+    // submission order, so a repeated spec hits the cache its first run
+    // filled.  The queue is unbounded because a scripted pipe of specs
+    // expects every job to run, never a queue_full shed.
+    deep::svc::ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.queue_capacity = std::numeric_limits<std::size_t>::max();
+    deep::svc::Service service(cfg);
+    deep::svc::serve_stream(service, std::cin, std::cout);
+    return 0;
+  }
 
   dsy::SystemConfig config;
   if (!dsy::parse_topology(opt.topology, config.topology)) {
