@@ -1,6 +1,7 @@
 #include "apps/spmv.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "apps/ckpt_state.hpp"
@@ -75,43 +76,58 @@ CsrBlock make_banded_matrix(int rank, int nranks, const SpmvConfig& config) {
   block.first_row = rank * config.rows_per_rank;
   block.rows = config.rows_per_rank;
   block.row_ptr.reserve(static_cast<std::size_t>(block.rows) + 1);
-  block.col.reserve(nnz);
-  block.val.reserve(nnz);
   block.row_ptr.push_back(0);
-  // One row's distinct off-diagonal columns, kept sorted (reused per row).
-  std::vector<int> cols;
-  cols.reserve(static_cast<std::size_t>(config.nnz_per_row));
+  // Sized for full rows and written through pointers; edge rows may come
+  // out short, so the vectors are cut to the entries written at the end.
+  block.col.resize(nnz);
+  block.val.resize(nnz);
+  int* col = block.col.data();
+  double* val = block.val.data();
+  // One row's distinct off-diagonal columns as a bit set over its band
+  // [row - band, row + band] (bit `band` is the diagonal, never set), so a
+  // draw costs one bit test and the set bits come out in ascending column
+  // order.  One word at the default band of 16.
+  const int span = 2 * config.band + 1;
+  std::vector<std::uint64_t> seen(static_cast<std::size_t>((span + 63) / 64));
   for (int local = 0; local < block.rows; ++local) {
     const int row = block.first_row + local;
+    const int lo = row - config.band;  // column of bit 0
     // Deterministic per-row off-diagonal pattern (identical no matter which
     // rank generates it).
     util::Rng rng(config.seed + static_cast<std::uint64_t>(row) * 2654435761u);
-    cols.clear();
-    while (static_cast<int>(cols.size()) < config.nnz_per_row - 1) {
+    std::fill(seen.begin(), seen.end(), 0);
+    // Edge rows may not have enough valid columns in the band.
+    const bool edge = row < config.band || row >= n - config.band;
+    int count = 0;
+    while (count < config.nnz_per_row - 1) {
       const int offset =
           1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(config.band)));
-      const int c = rng.chance(0.5) ? row - offset : row + offset;
-      if (c >= 0 && c < n && c != row) {
-        const auto at = std::lower_bound(cols.begin(), cols.end(), c);
-        if (at == cols.end() || *at != c) cols.insert(at, c);
+      const int c = rng.coin() ? row - offset : row + offset;
+      if (c >= 0 && c < n) {
+        const auto bit = static_cast<unsigned>(c - lo);
+        const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+        std::uint64_t& word = seen[bit / 64];
+        count += (word & mask) == 0 ? 1 : 0;
+        word |= mask;
       }
-      // Edge rows may not have enough valid columns in the band.
-      if (row < config.band || row >= n - config.band) {
-        if (static_cast<int>(cols.size()) >= config.nnz_per_row - 3) break;
-      }
+      if (edge && count >= config.nnz_per_row - 3) break;
     }
     double offdiag_sum = 0;
-    for (const int c : cols) {
-      const double v = -rng.uniform(0.1, 1.0);
-      block.col.push_back(c);
-      block.val.push_back(v);
-      offdiag_sum += std::abs(v);
+    for (std::size_t w = 0; w < seen.size(); ++w) {
+      for (std::uint64_t bits = seen[w]; bits != 0; bits &= bits - 1) {
+        const double v = -rng.uniform(0.1, 1.0);
+        *col++ = lo + static_cast<int>(w * 64) + std::countr_zero(bits);
+        *val++ = v;
+        offdiag_sum += std::abs(v);
+      }
     }
     // Diagonal dominance keeps the spectrum positive and well behaved.
-    block.col.push_back(row);
-    block.val.push_back(offdiag_sum + 2.0);
-    block.row_ptr.push_back(static_cast<int>(block.col.size()));
+    *col++ = row;
+    *val++ = offdiag_sum + 2.0;
+    block.row_ptr.push_back(static_cast<int>(col - block.col.data()));
   }
+  block.col.resize(static_cast<std::size_t>(block.row_ptr.back()));
+  block.val.resize(static_cast<std::size_t>(block.row_ptr.back()));
   return block;
 }
 

@@ -15,12 +15,6 @@ net::Payload copy_to_payload(std::span<const std::byte> bytes) {
   return net::copy_payload(bytes);
 }
 
-// Requests churn once per point-to-point operation; the pooled allocator
-// recycles the combined control-block+object allocation.
-RequestPtr make_request() {
-  return std::allocate_shared<Request>(net::PoolAllocator<Request>{});
-}
-
 }  // namespace
 
 Endpoint::Endpoint(MpiSystem& system, EpId id, hw::NodeId node)
@@ -37,7 +31,7 @@ Endpoint::Flow& Endpoint::flow(EpId peer) {
 RequestPtr Endpoint::start_send(const EpAddr& dst, ContextId context,
                                 Rank src_rank, Tag tag,
                                 std::span<const std::byte> bytes) {
-  auto request = make_request();
+  auto request = RequestPtr::make();
   request->waiter = owner_;
   request->op = "isend";
   request->tag = tag;
@@ -87,7 +81,7 @@ RequestPtr Endpoint::start_send(const EpAddr& dst, ContextId context,
 
 RequestPtr Endpoint::post_recv(ContextId context, Rank src, Tag tag,
                                std::span<std::byte> buffer) {
-  auto request = make_request();
+  auto request = RequestPtr::make();
   request->waiter = owner_;
   request->op = "irecv";
   request->peer = src;
@@ -97,8 +91,7 @@ RequestPtr Endpoint::post_recv(ContextId context, Rank src, Tag tag,
   // First try the unexpected queue (earliest arrival first).
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
     if (!matches(posted, it->header)) continue;
-    UnexpectedMsg msg = std::move(*it);
-    unexpected_.erase(it);
+    UnexpectedMsg msg = unexpected_.take(it);
     if (msg.header.kind == MsgKind::Eager) {
       accept_into(posted, msg.header, msg.payload);
     } else {  // RTS: register the pending bulk recv, answer with CTS
@@ -113,8 +106,7 @@ RequestPtr Endpoint::post_recv(ContextId context, Rank src, Tag tag,
   // receive can never be satisfied — error-complete it right away.
   for (auto it = dead_letters_.begin(); it != dead_letters_.end(); ++it) {
     if (!matches(posted, *it)) continue;
-    const WireHeader h = *it;
-    dead_letters_.erase(it);
+    const WireHeader h = dead_letters_.take(it);
     complete_error(request, ErrCode::MessageLost, h.src_rank, h.tag);
     return request;
   }
@@ -188,7 +180,7 @@ std::span<std::byte> Endpoint::window_slice(std::uint64_t win,
 RequestPtr Endpoint::start_put(const EpAddr& dst, std::uint64_t win,
                                std::int64_t offset,
                                std::span<const std::byte> data) {
-  auto request = make_request();
+  auto request = RequestPtr::make();
   request->waiter = owner_;
   request->op = "put";
   const auto& p = system_->params();
@@ -223,7 +215,7 @@ RequestPtr Endpoint::start_accumulate(const EpAddr& dst, std::uint64_t win,
                                       std::int64_t offset,
                                       std::span<const std::byte> data, Op op,
                                       std::uint8_t dtype) {
-  auto request = make_request();
+  auto request = RequestPtr::make();
   request->waiter = owner_;
   request->op = "accumulate";
   const auto& p = system_->params();
@@ -308,7 +300,7 @@ void Endpoint::handle_accum(const WireHeader& header,
 
 RequestPtr Endpoint::start_get(const EpAddr& dst, std::uint64_t win,
                                std::int64_t offset, std::span<std::byte> dest) {
-  auto request = make_request();
+  auto request = RequestPtr::make();
   request->waiter = owner_;
   request->op = "get";
   const auto& p = system_->params();
@@ -484,8 +476,7 @@ void Endpoint::note_lost_seq(EpId src_ep, std::uint64_t seq) {
 void Endpoint::fail_recv(const WireHeader& header) {
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
     if (!matches(*it, header)) continue;
-    PostedRecv posted = std::move(*it);
-    posted_.erase(it);
+    PostedRecv posted = posted_.take(it);
     complete_error(posted.request, ErrCode::MessageLost, header.src_rank,
                    header.tag);
     return;
@@ -569,8 +560,7 @@ void Endpoint::process_in_order(WireHeader&& header, net::Payload&& payload) {
 void Endpoint::handle_eager_or_rts(WireHeader&& header, net::Payload&& payload) {
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
     if (!matches(*it, header)) continue;
-    PostedRecv posted = std::move(*it);
-    posted_.erase(it);
+    PostedRecv posted = posted_.take(it);
     if (header.kind == MsgKind::Eager) {
       accept_into(posted, header, payload);
     } else {

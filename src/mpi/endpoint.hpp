@@ -10,7 +10,6 @@
 // blocks; blocking happens in the owning process via Request + wake().
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -123,6 +122,58 @@ class Endpoint {
   std::size_t lifetime_parked() const { return lifetime_parked_; }
 
  private:
+  /// A match queue: arrival order is index order in one vector.  Taking
+  /// the front advances a head index; taking a later entry shifts the rest
+  /// down, so matching stays earliest-first.  The dead prefix is dropped
+  /// once it is half the vector, and the capacity is kept, so a warm
+  /// queue does not allocate.
+  template <typename T>
+  class Fifo {
+   public:
+    using iterator = typename std::vector<T>::iterator;
+    using const_iterator = typename std::vector<T>::const_iterator;
+
+    iterator begin() {
+      return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    iterator end() { return items_.end(); }
+    const_iterator begin() const {
+      return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    const_iterator end() const { return items_.end(); }
+    std::size_t size() const { return items_.size() - head_; }
+
+    void push_back(T item) {
+      if (head_ > 0 && head_ * 2 >= items_.size()) {
+        items_.erase(items_.begin(), begin());
+        head_ = 0;
+      }
+      items_.push_back(std::move(item));
+    }
+
+    /// Moves `it` out of the queue.
+    T take(iterator it) {
+      T item = std::move(*it);
+      if (it == begin()) {
+        ++head_;
+      } else {
+        std::move(it + 1, end(), it);
+        items_.pop_back();
+      }
+      if (head_ == items_.size()) clear();
+      return item;
+    }
+
+    void clear() {
+      items_.clear();
+      head_ = 0;
+    }
+
+   private:
+    std::vector<T> items_;
+    std::size_t head_ = 0;  // entries before it were taken
+  };
+
   struct PostedRecv {
     ContextId context;
     Rank src;
@@ -197,8 +248,8 @@ class Endpoint {
   sim::Process* owner_ = nullptr;
   bool detached_ = false;  // owner died; tolerate late arrivals
 
-  std::deque<PostedRecv> posted_;
-  std::deque<UnexpectedMsg> unexpected_;
+  Fifo<PostedRecv> posted_;
+  Fifo<UnexpectedMsg> unexpected_;
   std::unordered_map<std::uint64_t, PendingSend> pending_sends_;
   std::map<std::pair<EpId, std::uint64_t>, PendingRecv> pending_recvs_;
   std::unordered_map<std::uint64_t, std::span<std::byte>> windows_;
@@ -214,7 +265,7 @@ class Endpoint {
   // Loss recovery: per-flow holes left by lost messages, headers of lost
   // sends awaiting a matching post_recv, failed remote completions.
   std::unordered_map<EpId, std::set<std::uint64_t>> lost_seqs_;
-  std::deque<WireHeader> dead_letters_;
+  Fifo<WireHeader> dead_letters_;
   std::int64_t put_failures_ = 0;
 
   std::uint64_t next_op_ = 1;

@@ -6,13 +6,17 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/spec.hpp"
 #include "mpi/wire.hpp"
+#include "net/pool.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
+#include "util/lane.hpp"
 
 namespace deep::mpi {
 
@@ -78,8 +82,74 @@ struct Request {
   const char* op = "";
   Rank peer = kAnySource;
   Tag tag = kAnyTag;
+
+ private:
+  friend class RequestPtr;
+  std::uint32_t refs_ = 0;
+#ifndef NDEBUG
+  std::uint32_t lane_ = util::exec_lane();  // the lane that created it
+#endif
 };
 
-using RequestPtr = std::shared_ptr<Request>;
+/// Shared handle to a pooled Request, with the pointer surface of the
+/// shared_ptr it replaced (->, *, bool, copy, == nullptr).  The count is
+/// intrusive and not atomic, because a Request never leaves the lane that
+/// created it: the rank's process creates it on its node's partition, the
+/// rank's endpoint (which holds the other handles) only runs on that
+/// partition too, and loss reporting, the one path that reaches another
+/// rank's endpoint, needs the single-partition engine.  Debug builds check
+/// it on every count change inside a partition window.  Storage is recycled
+/// through the per-lane net::PoolAllocator.
+class RequestPtr {
+ public:
+  RequestPtr() = default;
+  RequestPtr(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  RequestPtr(const RequestPtr& o) noexcept : p_(o.p_) {
+    if (p_ != nullptr) {
+      check_lane();
+      ++p_->refs_;
+    }
+  }
+  RequestPtr(RequestPtr&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  RequestPtr& operator=(RequestPtr o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  ~RequestPtr() {
+    if (p_ == nullptr) return;
+    check_lane();
+    if (--p_->refs_ == 0) {
+      p_->~Request();
+      net::PoolAllocator<Request>{}.deallocate(p_, 1);
+    }
+  }
+
+  /// A fresh Request with one reference.
+  static RequestPtr make() {
+    void* mem = net::PoolAllocator<Request>{}.allocate(1);
+    RequestPtr r;
+    r.p_ = ::new (mem) Request;
+    r.p_->refs_ = 1;
+    return r;
+  }
+
+  Request* operator->() const { return p_; }
+  Request& operator*() const { return *p_; }
+  explicit operator bool() const { return p_ != nullptr; }
+  friend bool operator==(const RequestPtr& a, std::nullptr_t) {
+    return a.p_ == nullptr;
+  }
+
+ private:
+  void check_lane() const {
+#ifndef NDEBUG
+    DEEP_ASSERT(!sim::Engine::in_partition_window() ||
+                    util::exec_lane() == p_->lane_,
+                "mpi::RequestPtr: request used off the lane that created it");
+#endif
+  }
+
+  Request* p_ = nullptr;
+};
 
 }  // namespace deep::mpi

@@ -32,8 +32,8 @@
 //    teardown with undelivered events leak-free.
 //
 //  * PoolAllocator<T> — a rebindable free-list allocator for
-//    std::allocate_shared and friends, used by the MPI layer to recycle
-//    Request control blocks.
+//    std::allocate_shared and friends; the MPI layer's intrusively counted
+//    RequestPtr (mpi/types.hpp) recycles its Requests through it.
 //
 // Invariants (tested in tests/netperf_test.cpp):
 //  * a released buffer/slot is reused before any new one is allocated;

@@ -101,81 +101,68 @@ int TorusFabric::hops(hw::NodeId src, hw::NodeId dst) const {
   return hops(coord_of(src), coord_of(dst));
 }
 
-const TorusFabric::RouteEntry& TorusFabric::route_entry(int src_lin,
-                                                        int dst_lin) const {
-  LaneState& lane = lane_state();
-  const std::uint64_t key = (static_cast<std::uint64_t>(
-                                 static_cast<std::uint32_t>(src_lin))
-                             << 32) |
-                            static_cast<std::uint32_t>(dst_lin);
-  auto [it, inserted] = lane.route_memo.try_emplace(key);
-  if (!inserted) return it->second;
-
-  // Cold path: build the dimension-ordered route once, append its packed
-  // link indices to the lane's arena.  The walk is the exact algorithm the
-  // per-message route() used before memoisation, so booked links (and
-  // therefore traces) are bit-identical.
-  RouteEntry& entry = it->second;
-  entry.first = static_cast<std::uint32_t>(lane.route_links.size());
-  TorusCoord cur = coord_at_[src_lin];
+template <typename OnHop>
+void TorusFabric::walk_route(int src_lin, int dst_lin, OnHop&& hop) const {
+  const TorusCoord a = coord_at_[src_lin];
   const TorusCoord b = coord_at_[dst_lin];
-  const auto walk = [&](int dim) {
-    int* cur_axis = dim == 0 ? &cur.x : dim == 1 ? &cur.y : &cur.z;
-    const int target = dim == 0 ? b.x : dim == 1 ? b.y : b.z;
-    int d = displacement(*cur_axis, target, dim);
-    const bool positive = d > 0;
+  const int from[3] = {a.x, a.y, a.z};
+  const int to[3] = {b.x, b.y, b.z};
+  int lin = src_lin;
+  int stride = 1;  // linear distance of one step along `dim`
+  for (int dim = 0; dim < 3; ++dim) {
     const int n = params_.dims[dim];
-    while (d != 0) {
-      lane.route_links.push_back(dim_link(linear(cur), dim, positive));
-      *cur_axis = ((*cur_axis + (positive ? 1 : -1)) % n + n) % n;
-      d += positive ? -1 : 1;
+    const int d = displacement(from[dim], to[dim], dim);
+    const int step = d > 0 ? 1 : -1;
+    const int channel = dim * 2 + (d > 0 ? 0 : 1);
+    int c = from[dim];
+    for (int left = d > 0 ? d : -d; left > 0; --left) {
+      int next = lin + step * stride;
+      c += step;
+      if (c == n) {
+        c = 0;
+        next -= n * stride;
+      } else if (c < 0) {
+        c = n - 1;
+        next += n * stride;
+      }
+      hop(lin, next, channel);
+      lin = next;
     }
-  };
-  walk(0);
-  walk(1);
-  walk(2);
-  entry.count =
-      static_cast<std::uint32_t>(lane.route_links.size()) - entry.first;
-  return entry;
+    stride *= n;
+  }
 }
 
 std::vector<int> TorusFabric::route_linears(hw::NodeId src,
                                             hw::NodeId dst) const {
   const int src_lin = linear_of(src);
-  const int dst_lin = linear_of(dst);
-  const RouteEntry& entry = route_entry(src_lin, dst_lin);
-  const LaneState& lane = lane_state();
-  std::vector<int> linears;
-  linears.reserve(entry.count + 1);
-  linears.push_back(src_lin);
-  // Each arena entry is packed from the router the hop *leaves*; the route's
-  // final router is the destination itself.
-  for (std::uint32_t i = entry.first + 1; i < entry.first + entry.count; ++i)
-    linears.push_back(
-        static_cast<int>(lane.route_links[i] / kChannelsPerRouter));
-  if (entry.count > 0) linears.push_back(dst_lin);
+  std::vector<int> linears{src_lin};
+  walk_route(src_lin, linear_of(dst),
+             [&](int, int to, int) { linears.push_back(to); });
   return linears;
 }
 
+std::vector<std::int64_t> TorusFabric::route_links(hw::NodeId src,
+                                                   hw::NodeId dst) const {
+  Message msg;
+  msg.src = src;
+  msg.dst = dst;
+  std::vector<std::int64_t> links;
+  for (const Hop& hop : route(msg)) links.push_back(hop.link);
+  return links;
+}
+
 bool TorusFabric::route_up(hw::NodeId src, hw::NodeId dst) const {
-  const int src_lin = linear_of(src);
-  const int dst_lin = linear_of(dst);
-  const RouteEntry& entry = route_entry(src_lin, dst_lin);
-  const LaneState& lane = lane_state();
-  // The route is memoised; the link-state consultation is live, per hop.
-  for (std::uint32_t i = entry.first; i < entry.first + entry.count; ++i) {
-    const int from_lin =
-        static_cast<int>(lane.route_links[i] / kChannelsPerRouter);
-    const int to_lin =
-        i + 1 < entry.first + entry.count
-            ? static_cast<int>(lane.route_links[i + 1] / kChannelsPerRouter)
-            : dst_lin;
-    const hw::NodeId from = node_at_[from_lin];
-    const hw::NodeId to = node_at_[to_lin];
-    if (from != hw::kInvalidNode && to != hw::kInvalidNode && !link_up(from, to))
-      return false;
-  }
-  return true;
+  // The link-state consultation is live, per hop.
+  bool up = true;
+  walk_route(linear_of(src), linear_of(dst),
+             [&](int from_lin, int to_lin, int) {
+               const hw::NodeId from = node_at_[from_lin];
+               const hw::NodeId to = node_at_[to_lin];
+               if (from != hw::kInvalidNode && to != hw::kInvalidNode &&
+                   !link_up(from, to))
+                 up = false;
+             });
+  return up;
 }
 
 std::int64_t TorusFabric::retransmissions() const {
@@ -293,18 +280,21 @@ sim::Duration TorusFabric::tail_penalty(std::int64_t bytes, int nlinks) {
 TorusFabric::Route TorusFabric::route(const Message& msg) const {
   const int src_lin = linear_of(msg.src);
   const int dst_lin = linear_of(msg.dst);
-  const RouteEntry& entry = route_entry(src_lin, dst_lin);
-  const LinkId* links = lane_state().route_links.data() + entry.first;
-  const std::size_t n = entry.count + 2;
+  const auto n = static_cast<std::size_t>(
+      hops(coord_at_[src_lin], coord_at_[dst_lin]) + 2);
   Hop* hop = scratch_hops(n);
   const bool owned = partitioned();
-  const auto at = [&](LinkId link) -> Hop {
-    return {link, owned ? unit_owner(link / kChannelsPerRouter) : 0,
+  const auto at = [&](int lin, int channel) -> Hop {
+    return {pack(lin, channel),
+            owned ? unit_owner(static_cast<std::size_t>(lin)) : 0,
             params_.hop_latency};
   };
-  hop[0] = at(pack(src_lin, kChannelInject));
-  for (std::uint32_t i = 0; i < entry.count; ++i) hop[i + 1] = at(links[i]);
-  hop[n - 1] = at(pack(dst_lin, kChannelEject));
+  hop[0] = at(src_lin, kChannelInject);
+  std::size_t i = 1;
+  walk_route(src_lin, dst_lin, [&](int from_lin, int, int channel) {
+    hop[i++] = at(from_lin, channel);
+  });
+  hop[n - 1] = at(dst_lin, kChannelEject);
   return {hop, n};
 }
 

@@ -19,17 +19,14 @@
 //
 // Hot-path layout (docs/perf.md): geometry is fixed at construction, so all
 // per-message state lives in flat arrays indexed by the linear coordinate —
-// node_at_/coord_at_ for attachment, the core's link table for booking —
-// and dimension-ordered routes are memoised per (src,dst) pair into a
-// per-lane link arena.  A steady-state send performs no hashing beyond one
-// memo probe and allocates nothing.  Fault checks (route_up) still walk the
-// route per-call against the *live* link-state table, so chaos semantics
-// are unchanged by the memoisation.
+// node_at_/coord_at_ for attachment, the core's link table for booking.
+// Dimension-ordered routes are arithmetic: a send walks its route with
+// linear-coordinate strides straight into the core's hop span, with no
+// per-pair table, no hashing and no allocation.  Fault checks (route_up)
+// walk the same route against the *live* link-state table.
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "net/wormhole.hpp"
@@ -98,9 +95,13 @@ class TorusFabric final : public WormholeFabric {
   void send(Message msg, Service svc) override;
 
   /// The linear coordinates the dimension-ordered route src->dst visits,
-  /// endpoints included.  Introspection for the route-table equivalence
-  /// tests; uses the same memoised table as send()/route_up().
+  /// endpoints included.  Introspection for the route equivalence tests;
+  /// uses the same walk as send()/route_up().
   std::vector<int> route_linears(hw::NodeId src, hw::NodeId dst) const;
+  /// The directed links (packed_link_index) a message src->dst books, in
+  /// order: injection, one per dimension hop, ejection.  Introspection for
+  /// the route equivalence tests; read from route(), as send() books it.
+  std::vector<std::int64_t> route_links(hw::NodeId src, hw::NodeId dst) const;
 
   /// Total link-level retransmissions performed so far (all lanes).
   std::int64_t retransmissions() const;
@@ -145,13 +146,13 @@ class TorusFabric final : public WormholeFabric {
   }
 
  protected:
-  /// Walks the (memoised) dimension-ordered route and fails if any hop
+  /// Walks the dimension-ordered route and fails if any hop
   /// between two attached nodes crosses a dead link (coordinates without an
   /// attached node cannot be named by set_link_up and are skipped).  The
   /// link-state check itself is live — never cached.
   bool route_up(hw::NodeId src, hw::NodeId dst) const override;
 
-  /// Injection link, memoised dimension links, ejection link; each owned by
+  /// Injection link, dimension links, ejection link; each owned by
   /// its router's coordinate partition (all partition 0 when unpartitioned).
   Route route(const Message& msg) const override;
 
@@ -164,14 +165,6 @@ class TorusFabric final : public WormholeFabric {
   void refresh_partitions() const override;
 
  private:
-  /// One memoised route: `count` packed dimension-link indices starting at
-  /// the lane's route_links[first].  Endpoint-only pairs (src == dst) have
-  /// count 0.
-  struct RouteEntry {
-    std::uint32_t first = 0;
-    std::uint32_t count = 0;
-  };
-
   /// Mutable send-path state, replicated per execution lane so partitioned
   /// runs never share it across workers.  Serial runs (and all existing
   /// traces) use lane 0 exclusively: lane 0 is seeded with params.seed, so
@@ -180,11 +173,6 @@ class TorusFabric final : public WormholeFabric {
   /// and the lane index — deterministic for a fixed partitioning, whatever
   /// the worker count.
   struct LaneState {
-    // Route memo: key (src_lin << 32) | dst_lin -> entry into this lane's
-    // link arena.  Routes depend only on the fixed geometry, so entries are
-    // never invalidated (lanes redundantly rebuild, never disagree).
-    std::unordered_map<std::uint64_t, RouteEntry> route_memo;
-    std::vector<LinkId> route_links;  // arena of packed links
     util::Rng rng{0};
     std::int64_t retransmissions = 0;
     std::int64_t affected_messages = 0;
@@ -194,12 +182,9 @@ class TorusFabric final : public WormholeFabric {
 
   int linear(TorusCoord c) const;
   int linear_of(hw::NodeId node) const;
-  /// Directed-link id in the link table (also the arena representation).
+  /// Directed-link id in the link table.
   LinkId pack(int lin, int channel) const {
     return static_cast<LinkId>(packed_link_index(lin, channel));
-  }
-  LinkId dim_link(int lin, int dim, bool positive) const {
-    return pack(lin, dim * 2 + (positive ? 0 : 1));
   }
 
   sim::Duration engine_min() const {
@@ -207,9 +192,11 @@ class TorusFabric final : public WormholeFabric {
                                                       : params_.rma_setup;
   }
 
-  /// The memoised dimension-ordered route src->dst (built on first use,
-  /// per execution lane).
-  const RouteEntry& route_entry(int src_lin, int dst_lin) const;
+  /// Walks the dimension-ordered route src->dst (x, then y, then z, each
+  /// the shorter way round, ties positive), calling hop(from_lin, to_lin,
+  /// channel) once per dimension link in order.
+  template <typename OnHop>
+  void walk_route(int src_lin, int dst_lin, OnHop&& hop) const;
 
   /// Signed shortest displacement along `dim` from `from` to `to`.
   int displacement(int from, int to, int dim) const;
@@ -219,8 +206,8 @@ class TorusFabric final : public WormholeFabric {
   std::vector<TorusCoord> coord_at_;   // linear -> coordinate (fixed)
   std::vector<hw::NodeId> node_at_;    // linear -> node (kInvalidNode if free)
   std::vector<int> linear_of_;         // node -> linear (-1 if absent)
-  // Per-execution-lane send state (deque: stable addresses, no moves).
-  mutable std::deque<LaneState> lanes_;
+  // Per-execution-lane send state (sized once at construction).
+  mutable std::vector<LaneState> lanes_;
   int next_linear_ = 0;
   // Metrics (null handles when no registry; see Fabric).  The core's
   // m_link_busy_ps_ and m_head_wait_ns_ are registered here too.

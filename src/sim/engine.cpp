@@ -8,7 +8,7 @@
 
 namespace deep::sim {
 
-thread_local Engine::ExecTls Engine::t_exec_;
+constinit thread_local Engine::ExecTls Engine::t_exec_;
 
 // ---------------------------------------------------------------------------
 // Process fiber scheduling

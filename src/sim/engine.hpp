@@ -251,8 +251,7 @@ class Engine {
   /// The current virtual time: the executing partition's clock from inside a
   /// run, the last committed time outside one.
   TimePoint now() const {
-    const ExecTls& tls = t_exec_;
-    return tls.engine == this ? tls.part->now : part0_.now;
+    return t_exec_.engine == this ? t_exec_.part->now : part0_.now;
   }
 
   /// Schedules `fn` to run at absolute time `t` (>= now) on the current
@@ -340,11 +339,14 @@ class Engine {
   void set_wallclock_metrics(bool on) { wallclock_metrics_ = on; }
   bool wallclock_metrics() const { return wallclock_metrics_; }
 
+  /// True while this thread executes a window of a partitioned run (any
+  /// engine's).  Serial runs and threads outside a run see false.
+  static bool in_partition_window() { return t_exec_.engine != nullptr; }
+
   /// The partition whose events this thread is currently executing
   /// (0 outside a run).
   std::uint32_t current_partition() const {
-    const ExecTls& tls = t_exec_;
-    return tls.engine == this ? tls.part->id : 0;
+    return t_exec_.engine == this ? t_exec_.part->id : 0;
   }
 
   std::size_t num_processes() const { return processes_.size(); }
@@ -361,8 +363,7 @@ class Engine {
   /// commits records to this tracer in canonical order at window barriers.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const {
-    const ExecTls& tls = t_exec_;
-    return tls.engine == this ? tls.part->active_tracer : tracer_;
+    return t_exec_.engine == this ? t_exec_.part->active_tracer : tracer_;
   }
 
   /// Attaches (or detaches, with nullptr) a metrics registry.  The engine
@@ -407,7 +408,13 @@ class Engine {
     Engine* engine = nullptr;
     Partition* part = nullptr;
   };
-  static thread_local ExecTls t_exec_;
+  // Read it by name, never through a reference or pointer: UBSan would
+  // null-check the thread-local's address, and GCC 12 miscompiles that
+  // check (it rewrites the flag-setting `add %fs:0` into `mov` + `lea` and
+  // branches on stale flags), so a serial run reported a null reference.
+  // constinit lets other translation units address it without a TLS
+  // wrapper call.
+  static constinit thread_local ExecTls t_exec_;
 
   /// RAII entry into a partition's execution context: publishes the TLS
   /// pointer and switches the metrics lane.
@@ -432,8 +439,7 @@ class Engine {
     return p == 0 ? part0_ : *extra_[p - 1];
   }
   Partition& cur_part() {
-    const ExecTls& tls = t_exec_;
-    return tls.engine == this ? *tls.part : part0_;
+    return t_exec_.engine == this ? *t_exec_.part : part0_;
   }
   Fiber& cur_sched() { return cur_part().sched_fiber; }
 

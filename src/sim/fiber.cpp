@@ -3,7 +3,10 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 
 #include "util/error.hpp"
 
@@ -25,6 +28,21 @@ std::size_t round_up_to_page(std::size_t bytes) {
   const std::size_t page = page_size();
   return (bytes + page - 1) / page * page;
 }
+
+// Stacks left by destroyed pools, one list per stack size.  Leaked on
+// purpose: an engine destroyed during static destruction can still return
+// its stacks, and the lists stay reachable for leak checkers.
+struct StackCache {
+  std::mutex mu;
+  std::map<std::size_t, std::vector<FiberStack>> by_size;
+};
+
+StackCache& stack_cache() {
+  static auto* cache = new StackCache;
+  return *cache;
+}
+
+std::atomic<std::size_t> g_stacks_mapped{0};
 
 #if DEEPSIM_ASAN_FIBERS
 // The fiber being suspended by the in-flight switch; the entry trampoline
@@ -67,11 +85,14 @@ FiberStackPool::FiberStackPool(std::size_t stack_size)
     : stack_size_(round_up_to_page(stack_size)) {}
 
 FiberStackPool::~FiberStackPool() {
-  const std::size_t page = page_size();
-  for (FiberStack& s : free_) {
-    // The guard page sits below the usable range; unmap the whole block.
-    ::munmap(static_cast<char*>(s.base) - page, s.size + page);
-  }
+  if (free_.empty()) return;
+  StackCache& cache = stack_cache();
+  std::lock_guard<std::mutex> lock(cache.mu);
+  for (const FiberStack& s : free_) cache.by_size[s.size].push_back(s);
+}
+
+std::size_t FiberStackPool::mapped_total() {
+  return g_stacks_mapped.load(std::memory_order_relaxed);
 }
 
 void FiberStackPool::set_stack_size(std::size_t bytes) {
@@ -80,9 +101,20 @@ void FiberStackPool::set_stack_size(std::size_t bytes) {
 }
 
 FiberStack FiberStackPool::acquire() {
+  FiberStack s;
   if (!free_.empty()) {
-    FiberStack s = free_.back();
+    s = free_.back();
     free_.pop_back();
+  } else {
+    StackCache& cache = stack_cache();
+    std::lock_guard<std::mutex> lock(cache.mu);
+    const auto it = cache.by_size.find(stack_size_);
+    if (it != cache.by_size.end() && !it->second.empty()) {
+      s = it->second.back();
+      it->second.pop_back();
+    }
+  }
+  if (s) {
 #if DEEPSIM_ASAN_FIBERS
     // Stale redzones from the previous occupant would trip false positives.
     __asan_unpoison_memory_region(s.base, s.size);
@@ -97,7 +129,7 @@ FiberStack FiberStackPool::acquire() {
   // Guard page at the low end: stack overflow faults instead of corrupting
   // a neighbouring fiber's stack.
   ::mprotect(mem, page, PROT_NONE);
-  ++total_allocated_;
+  g_stacks_mapped.fetch_add(1, std::memory_order_relaxed);
   return FiberStack{static_cast<char*>(mem) + page, stack_size_};
 }
 

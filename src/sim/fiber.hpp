@@ -9,7 +9,12 @@
 //
 // Stacks are owned by a FiberStackPool: mmap'd blocks with a PROT_NONE guard
 // page at the low end, recycled on a free list when a fiber terminates so
-// spawn-heavy simulations (10k+ processes) do not churn the allocator.
+// spawn-heavy simulations (10k+ processes) do not churn the allocator.  A
+// destroyed pool hands its stacks to a process-wide cache (one list per
+// stack size) that later pools draw from before mapping, so back-to-back
+// simulations in one process pay mmap, mprotect and first-touch page faults
+// once.  The cache never unmaps: it holds the high-water mark of stacks
+// live at once.
 //
 // AddressSanitizer support: every switch is annotated with
 // __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber so ASan
@@ -44,7 +49,7 @@ struct FiberStack {
 };
 
 /// Allocates and recycles fiber stacks of one fixed size.  Not thread-safe
-/// (the engine is single-threaded by design).
+/// (the engine serialises its calls); the process-wide cache behind it is.
 class FiberStackPool {
  public:
   /// Default stack size for process fibers.  Pages are committed lazily, so
@@ -62,17 +67,18 @@ class FiberStackPool {
   void set_stack_size(std::size_t bytes);
   std::size_t stack_size() const { return stack_size_; }
 
-  /// Pops a recycled stack or maps a fresh one (guard page included).
+  /// Pops a recycled stack (this pool's, else one of the same size from the
+  /// process-wide cache) or maps a fresh one (guard page included).
   FiberStack acquire();
   /// Returns a stack to the free list for reuse by a future fiber.
   void release(FiberStack stack);
 
-  std::size_t total_allocated() const { return total_allocated_; }
+  /// Stacks ever mapped by any pool in this process.
+  static std::size_t mapped_total();
 
  private:
   std::size_t stack_size_;
   std::vector<FiberStack> free_;
-  std::size_t total_allocated_ = 0;
 };
 
 /// One suspended (or running) flow of control.  A default-constructed Fiber

@@ -120,9 +120,14 @@ class Parser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        if (depth_ == Json::kMaxDepth)
+          return fail("arrays and objects nested deeper than Json::kMaxDepth");
+        ++depth_;
+        const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!parse_string(s)) return false;
@@ -298,6 +303,7 @@ class Parser {
   std::string_view text_;
   std::size_t pos_ = 0;
   std::string error_;
+  int depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace

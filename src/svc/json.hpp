@@ -103,6 +103,12 @@ class Json {
   /// Escapes `s` as a JSON string literal including the quotes.
   static std::string escape(std::string_view s);
 
+  /// Deepest nesting of arrays and objects parse() accepts.  The parser
+  /// recurses once per level, so without a cap one line of 200,000 `[`
+  /// overflows the stack; a deeper document is an error at the byte offset
+  /// of the first bracket past the cap.  Service specs nest 4 levels.
+  static constexpr int kMaxDepth = 64;
+
   using ParseResult = svc::ParseResult;
   /// Parses one JSON document; trailing non-whitespace is an error.
   static svc::ParseResult parse(std::string_view text);

@@ -50,6 +50,9 @@ class Rng {
   /// Uniform integer in [0, bound).
   std::uint64_t below(std::uint64_t bound) {
     DEEP_EXPECT(bound > 0, "Rng::below: bound must be positive");
+    // A power of two has rejection threshold 0 and its modulus is a mask:
+    // the same single draw and the same result, without the two divisions.
+    if ((bound & (bound - 1)) == 0) return (*this)() & (bound - 1);
     // Rejection sampling to avoid modulo bias.
     const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {
@@ -68,6 +71,10 @@ class Rng {
 
   /// Bernoulli trial with probability p.
   bool chance(double p) { return uniform() < p; }
+
+  /// A fair coin: the same draw and result as chance(0.5), which holds
+  /// exactly when the top bit is clear, without the double arithmetic.
+  bool coin() { return ((*this)() >> 63) == 0; }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -839,8 +839,71 @@ TEST(Spmv, RunsOnBoosterAtScale) {
 
 namespace {
 
+// Rng::below as it was before its power-of-two path: the matrix
+// references draw through it, so they do not lean on the code under test.
+std::uint64_t reference_below(deep::util::Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+// The sorted-vector build make_banded_matrix used before its bit set, kept
+// verbatim (draws through reference_below) as a reference.
+da::CsrBlock sorted_vector_banded_matrix(int rank, int nranks,
+                                         const da::SpmvConfig& config) {
+  const int n = config.rows_per_rank * nranks;
+  const auto nnz = static_cast<std::size_t>(config.rows_per_rank) *
+                   static_cast<std::size_t>(config.nnz_per_row);
+  da::CsrBlock block;
+  block.first_row = rank * config.rows_per_rank;
+  block.rows = config.rows_per_rank;
+  block.row_ptr.reserve(static_cast<std::size_t>(block.rows) + 1);
+  block.col.reserve(nnz);
+  block.val.reserve(nnz);
+  block.row_ptr.push_back(0);
+  // One row's distinct off-diagonal columns, kept sorted (reused per row).
+  std::vector<int> cols;
+  cols.reserve(static_cast<std::size_t>(config.nnz_per_row));
+  for (int local = 0; local < block.rows; ++local) {
+    const int row = block.first_row + local;
+    // Deterministic per-row off-diagonal pattern (identical no matter which
+    // rank generates it).
+    deep::util::Rng rng(config.seed +
+                        static_cast<std::uint64_t>(row) * 2654435761u);
+    cols.clear();
+    while (static_cast<int>(cols.size()) < config.nnz_per_row - 1) {
+      const int offset = 1 + static_cast<int>(reference_below(
+                                 rng, static_cast<std::uint64_t>(config.band)));
+      const int c = rng.chance(0.5) ? row - offset : row + offset;
+      if (c >= 0 && c < n && c != row) {
+        const auto at = std::lower_bound(cols.begin(), cols.end(), c);
+        if (at == cols.end() || *at != c) cols.insert(at, c);
+      }
+      // Edge rows may not have enough valid columns in the band.
+      if (row < config.band || row >= n - config.band) {
+        if (static_cast<int>(cols.size()) >= config.nnz_per_row - 3) break;
+      }
+    }
+    double offdiag_sum = 0;
+    for (const int c : cols) {
+      const double v = -rng.uniform(0.1, 1.0);
+      block.col.push_back(c);
+      block.val.push_back(v);
+      offdiag_sum += std::abs(v);
+    }
+    // Diagonal dominance keeps the spectrum positive and well behaved.
+    block.col.push_back(row);
+    block.val.push_back(offdiag_sum + 2.0);
+    block.row_ptr.push_back(static_cast<int>(block.col.size()));
+  }
+  return block;
+}
+
 // The std::set build make_banded_matrix used before it went to a sorted
-// vector, kept verbatim as the reference its output must match.
+// vector, kept verbatim (draws through reference_below) as the reference
+// its output must match.
 da::CsrBlock reference_banded_matrix(int rank, int nranks,
                                      const da::SpmvConfig& config) {
   const int n = config.rows_per_rank * nranks;
@@ -854,8 +917,8 @@ da::CsrBlock reference_banded_matrix(int rank, int nranks,
                         static_cast<std::uint64_t>(row) * 2654435761u);
     std::set<int> cols;
     while (static_cast<int>(cols.size()) < config.nnz_per_row - 1) {
-      const int offset =
-          1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(config.band)));
+      const int offset = 1 + static_cast<int>(reference_below(
+                                 rng, static_cast<std::uint64_t>(config.band)));
       const int c = rng.chance(0.5) ? row - offset : row + offset;
       if (c >= 0 && c < n && c != row) cols.insert(c);
       if (row < config.band || row >= n - config.band) {
@@ -981,6 +1044,52 @@ TEST(Spmv, MatrixBuildMatchesSetReference) {
         ASSERT_EQ(got.val.size(), want.val.size());
         for (std::size_t k = 0; k < got.val.size(); ++k)
           EXPECT_EQ(bits(got.val[k]), bits(want.val[k])) << "k=" << k;
+      }
+    }
+  }
+}
+
+void expect_same_block(const da::CsrBlock& got, const da::CsrBlock& want) {
+  EXPECT_EQ(got.first_row, want.first_row);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.row_ptr, want.row_ptr);
+  EXPECT_EQ(got.col, want.col);
+  ASSERT_EQ(got.val.size(), want.val.size());
+  for (std::size_t k = 0; k < got.val.size(); ++k)
+    ASSERT_EQ(bits(got.val[k]), bits(want.val[k])) << "k=" << k;
+}
+
+// The bit-set build against the sorted-vector build it replaced, bit for
+// bit, over power-of-two and other bands (one word, a band above 31 that
+// needs two words, 64 that needs three), the narrowest nnz a band admits,
+// several seeds, and every rank, so the first and last ranks' edge rows
+// (fewer valid columns, the early break) are all covered.
+TEST(Spmv, BitSetBuildMatchesSortedVectorBuild) {
+  struct Case {
+    int band;
+    int nnz;
+  };
+  const Case cases[] = {{1, 2}, {2, 5},  {3, 6},   {4, 7},   {5, 7},
+                        {7, 8}, {8, 8},  {15, 18}, {16, 8},  {16, 19},
+                        {17, 9}, {31, 20}, {32, 8}, {33, 36}, {40, 12},
+                        {64, 30}};
+  for (const Case& c : cases) {
+    for (const std::uint64_t seed : {33ull, 1ull, 0xDEADBEEFull}) {
+      for (const int nranks : {1, 2, 5}) {
+        da::SpmvConfig cfg;
+        cfg.band = c.band;
+        cfg.nnz_per_row = c.nnz;
+        cfg.rows_per_rank = c.band + 1 + (c.band % 3);
+        cfg.seed = seed;
+        for (int rank = 0; rank < nranks; ++rank) {
+          SCOPED_TRACE("band=" + std::to_string(c.band) +
+                       " nnz=" + std::to_string(c.nnz) +
+                       " seed=" + std::to_string(seed) +
+                       " nranks=" + std::to_string(nranks) +
+                       " rank=" + std::to_string(rank));
+          expect_same_block(da::make_banded_matrix(rank, nranks, cfg),
+                            sorted_vector_banded_matrix(rank, nranks, cfg));
+        }
       }
     }
   }

@@ -85,6 +85,48 @@ TEST(P2P, UnexpectedMessageIsBuffered) {
   });
 }
 
+// A match taken from the middle of a queue leaves the rest in arrival
+// order, for the unexpected queue (messages in before the receives) and the
+// posted queue (receives posted before the messages).
+TEST(P2P, MatchingAfterAMiddleTakeStaysEarliestFirst) {
+  MpiRig rig(2);
+  rig.run([](dm::Mpi& mpi) {
+    const auto send = [&](dm::Tag tag, int value) {
+      const std::vector<int> v{value};
+      mpi.send<int>(mpi.world(), 1, tag, cspan(v));
+    };
+    const auto recv = [&](dm::Tag tag) {
+      std::vector<int> v(1);
+      mpi.recv<int>(mpi.world(), 0, tag, mspan(v));
+      return v[0];
+    };
+    if (mpi.rank() == 0) {
+      for (const auto& [tag, value] :
+           {std::pair{1, 10}, {2, 20}, {3, 30}, {3, 31}, {3, 32}})
+        send(tag, value);
+      mpi.ctx().delay(ds::milliseconds(1));  // rank 1 posts in between
+      for (const auto& [tag, value] :
+           {std::pair{2, 21}, {7, 70}, {8, 80}, {9, 90}, {1, 11}})
+        send(tag, value);
+    } else {
+      mpi.ctx().delay(ds::microseconds(500));  // all five are unexpected
+      EXPECT_EQ(recv(2), 20);
+      EXPECT_EQ(recv(3), 30);
+      EXPECT_EQ(recv(3), 31);
+      EXPECT_EQ(recv(3), 32);
+      EXPECT_EQ(recv(1), 10);
+      std::vector<int> got(5, -1);
+      const dm::Tag tags[5] = {1, 2, dm::kAnyTag, dm::kAnyTag, dm::kAnyTag};
+      std::vector<dm::RequestPtr> reqs;
+      for (int i = 0; i < 5; ++i)
+        reqs.push_back(mpi.irecv<int>(mpi.world(), 0, tags[i],
+                                      mspan(got).subspan(i, 1)));
+      mpi.wait_all(reqs);
+      EXPECT_EQ(got, (std::vector<int>{11, 21, 70, 80, 90}));
+    }
+  });
+}
+
 TEST(P2P, MessagesDoNotOvertake) {
   MpiRig rig(2);
   rig.run([](dm::Mpi& mpi) {

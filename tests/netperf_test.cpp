@@ -1,10 +1,13 @@
 // Hot-path guarantees of the zero-allocation message path (docs/perf.md):
 //  * buffer/message/request pooling invariants (net/pool.hpp),
-//  * the memoised torus route table matches an independent reimplementation
-//    of per-hop dimension-ordered routing (wrap-around, ties, dims == 1),
+//  * the arithmetic torus route walk (routers and booked links) matches an
+//    independent per-hop dimension-ordered walker (wrap-around, ties,
+//    dims == 1),
 //  * the packed link-index aliasing guard,
-//  * and the headline claim itself: a warmed-up fabric send/deliver cycle
-//    performs ZERO heap allocations, verified by replacing operator new.
+//  * fiber stacks outlive their engine in a cache keyed by stack size,
+//  * and the headline claim itself: a warmed-up fabric send/deliver cycle,
+//    and a warmed-up MPI eager isend/irecv/wait cycle, perform ZERO heap
+//    allocations, verified by replacing operator new.
 //
 // This binary carries the ctest label `perf` (see scripts/run_chaos.sh,
 // which runs it under ASan as well).
@@ -16,12 +19,15 @@
 #include <vector>
 
 #include "cbp/gateway.hpp"
+#include "mpi/mpi.hpp"
 #include "mpi/wire.hpp"
+#include "mpi_rig.hpp"
 #include "net/crossbar.hpp"
 #include "net/pool.hpp"
 #include "net/torus.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
+#include "sim/fiber.hpp"
 #include "util/error.hpp"
 
 namespace dc = deep::cbp;
@@ -165,9 +171,17 @@ struct RefTorus {
   }
 
   // Per-hop dimension-ordered walk (the pre-memoisation algorithm): the
-  // sequence of linear coordinates visited from a to b, endpoints included.
-  std::vector<int> route_linears(dn::TorusCoord a, dn::TorusCoord b) const {
-    std::vector<int> out{linear(a)};
+  // sequence of linear coordinates visited from a to b, endpoints included,
+  // and the directed links booked on the way (injection, the link each hop
+  // leaves its router on, ejection).
+  struct Walk {
+    std::vector<int> linears;
+    std::vector<std::int64_t> links;
+  };
+  Walk walk(dn::TorusCoord a, dn::TorusCoord b) const {
+    using TF = dn::TorusFabric;
+    Walk out{{linear(a)},
+             {TF::packed_link_index(linear(a), TF::kChannelInject)}};
     dn::TorusCoord cur = a;
     for (int dim = 0; dim < 3; ++dim) {
       int* axis = dim == 0 ? &cur.x : dim == 1 ? &cur.y : &cur.z;
@@ -176,11 +190,15 @@ struct RefTorus {
       const int step = d > 0 ? 1 : -1;
       const int n = dims[dim];
       while (d != 0) {
+        // Channels dim * 2 (+) and dim * 2 + 1 (-) of the router left.
+        out.links.push_back(
+            TF::packed_link_index(linear(cur), dim * 2 + (step > 0 ? 0 : 1)));
         *axis = ((*axis + step) % n + n) % n;
-        out.push_back(linear(cur));
+        out.linears.push_back(linear(cur));
         d -= step;
       }
     }
+    out.links.push_back(TF::packed_link_index(linear(b), TF::kChannelEject));
     return out;
   }
 };
@@ -195,13 +213,15 @@ void expect_routes_match(const std::array<int, 3>& dims) {
   const RefTorus ref{dims};
   for (int s = 0; s < n; ++s) {
     for (int d = 0; d < n; ++d) {
-      const auto expected =
-          ref.route_linears(fabric.coord_of(s), fabric.coord_of(d));
+      const auto expected = ref.walk(fabric.coord_of(s), fabric.coord_of(d));
       const auto actual = fabric.route_linears(s, d);
-      ASSERT_EQ(actual, expected) << "dims {" << dims[0] << "," << dims[1]
-                                  << "," << dims[2] << "} src " << s
-                                  << " dst " << d;
-      // The memoised route length must also agree with the analytic count.
+      ASSERT_EQ(actual, expected.linears)
+          << "dims {" << dims[0] << "," << dims[1] << "," << dims[2]
+          << "} src " << s << " dst " << d;
+      ASSERT_EQ(fabric.route_links(s, d), expected.links)
+          << "dims {" << dims[0] << "," << dims[1] << "," << dims[2]
+          << "} src " << s << " dst " << d;
+      // The walked route length must also agree with the analytic count.
       ASSERT_EQ(static_cast<int>(actual.size()) - 1, fabric.hops(s, d));
     }
   }
@@ -213,6 +233,7 @@ TEST(TorusRouteTable, MatchesPerHopWalkOnCube) {
 
 TEST(TorusRouteTable, MatchesPerHopWalkOnAsymmetricTorus) {
   expect_routes_match({5, 3, 2});  // odd wrap-around + tiny dimensions
+  expect_routes_match({8, 8, 6});  // the paper-scale 384-node booster
 }
 
 TEST(TorusRouteTable, MatchesPerHopWalkOnDegenerateDims) {
@@ -230,6 +251,78 @@ TEST(TorusRouteTable, WrapAroundTakesShorterDirection) {
   // 0 -> 4 is one hop backwards across the wrap, not four forwards.
   EXPECT_EQ(fabric.route_linears(0, 4), (std::vector<int>{0, 4}));
   EXPECT_EQ(fabric.hops(0, 4), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Fiber stacks: recycled across engines, never across stack sizes
+// ---------------------------------------------------------------------------
+
+// Spawns `n` processes that are all alive at once, then runs to the end.
+void run_concurrent_processes(int n, std::size_t stack_size = 0) {
+  ds::Engine eng;
+  if (stack_size != 0) eng.set_fiber_stack_size(stack_size);
+  for (int i = 0; i < n; ++i)
+    eng.spawn("p" + std::to_string(i),
+              [](ds::Context& ctx) { ctx.delay(ds::microseconds(1)); });
+  eng.run();
+}
+
+TEST(FiberStackCache, SecondEngineMapsNoNewStacks) {
+  run_concurrent_processes(48);
+  const std::size_t mapped = ds::FiberStackPool::mapped_total();
+  run_concurrent_processes(48);
+  EXPECT_EQ(ds::FiberStackPool::mapped_total(), mapped);
+  run_concurrent_processes(20);
+  EXPECT_EQ(ds::FiberStackPool::mapped_total(), mapped);
+}
+
+TEST(FiberStackCache, StacksOnlyGoToPoolsOfTheirSize) {
+  constexpr std::size_t kSmall = 64 * 1024;
+  void* small_base = nullptr;
+  {
+    ds::FiberStackPool small(kSmall);
+    const ds::FiberStack s = small.acquire();
+    small_base = s.base;
+    small.release(s);
+  }  // the small stack is now in the process-wide cache
+  ds::FiberStackPool dflt;
+  const ds::FiberStack d = dflt.acquire();
+  EXPECT_EQ(d.size, ds::FiberStackPool::kDefaultStackSize);
+  EXPECT_NE(d.base, small_base);
+  dflt.release(d);
+  // A pool of the small size takes it back without mapping.
+  const std::size_t mapped = ds::FiberStackPool::mapped_total();
+  ds::FiberStackPool small_again(kSmall);
+  const ds::FiberStack again = small_again.acquire();
+  EXPECT_EQ(again.base, small_base);
+  EXPECT_EQ(again.size, kSmall);
+  EXPECT_EQ(ds::FiberStackPool::mapped_total(), mapped);
+  small_again.release(again);
+}
+
+// Touches about `kib` KiB of stack; the result depends on every frame.
+int touch_stack(int kib) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(kib);
+  frame[sizeof(frame) - 1] = 1;
+  if (kib <= 1) return frame[0] + frame[sizeof(frame) - 1];
+  return touch_stack(kib - 1) + frame[0];
+}
+
+TEST(FiberStackCache, DefaultEngineNeverRunsOnASmallStack) {
+  // Small stacks go to the cache when their engine dies.  A default engine
+  // must not get them: its processes may use far more than 64 KiB, and a
+  // small stack would fault on its guard page.
+  run_concurrent_processes(8, 64 * 1024);
+  ds::Engine eng;
+  int sum = 0;
+  for (int i = 0; i < 8; ++i)
+    eng.spawn("deep" + std::to_string(i), [&sum](ds::Context& ctx) {
+      ctx.delay(ds::microseconds(1));
+      sum += touch_stack(160) > 0 ? 1 : 0;
+    });
+  eng.run();
+  EXPECT_EQ(sum, 8);
 }
 
 // ---------------------------------------------------------------------------
@@ -370,6 +463,36 @@ TEST(ZeroAllocation, WarmCbpBridgePathDoesNotAllocate) {
 
 TEST(ZeroAllocation, WarmCbpBridgePathWithMetricsDoesNotAllocate) {
   expect_warm_cbp_path_alloc_free(/*with_metrics=*/true);
+}
+
+// Two ranks exchange an eager message per round: irecv, isend, wait on
+// both.  After the warm-up rounds the requests, payloads, match queues,
+// events and the crossbar path all run on recycled storage.  Allocations
+// are counted between the starts of two rounds in the middle of the run,
+// so neither rank's start-up or exit falls inside the window.
+TEST(ZeroAllocation, WarmMpiEagerCycleDoesNotAllocate) {
+  constexpr int kWarm = 8, kMeasured = 64, kTail = 4;
+  deep::testing::MpiRig rig(2);
+  std::size_t before = 0, after = 0;
+  rig.run([&](dm::Mpi& mpi) {
+    const dm::Rank peer = 1 - mpi.rank();
+    std::int64_t out[4] = {mpi.rank(), 0, 0, 0};
+    std::int64_t in[4] = {};
+    for (int round = 0; round < kWarm + kMeasured + kTail; ++round) {
+      if (mpi.rank() == 0 && round == kWarm) before = g_allocs;
+      if (mpi.rank() == 0 && round == kWarm + kMeasured) after = g_allocs;
+      out[1] = round;
+      const dm::RequestPtr reqs[2] = {
+          mpi.irecv<std::int64_t>(mpi.world(), peer, 7, in),
+          mpi.isend<std::int64_t>(mpi.world(), peer, 7,
+                                  std::span<const std::int64_t>(out))};
+      mpi.wait_all(reqs);
+      ASSERT_EQ(in[0], peer);
+      ASSERT_EQ(in[1], round);
+    }
+  });
+  EXPECT_GT(after, 0u);
+  EXPECT_EQ(after, before) << "steady-state MPI eager cycle allocated";
 }
 
 }  // namespace

@@ -447,6 +447,42 @@ TEST(ServiceJson, ExactIntegersSurviveAndErrorsCarryOffsets) {
   EXPECT_FALSE(dsv::Json::parse("nul").ok);
 }
 
+TEST(ServiceJson, NestingPastTheCapIsATypedRejectWithOffset) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  // At the cap: parses, and dumps back unchanged.
+  const auto at_cap = dsv::Json::parse(nested(dsv::Json::kMaxDepth));
+  ASSERT_TRUE(at_cap.ok) << at_cap.error;
+  EXPECT_EQ(at_cap.value.dump(), nested(dsv::Json::kMaxDepth));
+  // One past: fails at the first bracket beyond the cap, for arrays and
+  // objects alike.
+  const auto past = dsv::Json::parse(nested(dsv::Json::kMaxDepth + 1));
+  EXPECT_FALSE(past.ok);
+  EXPECT_EQ(past.offset, static_cast<std::size_t>(dsv::Json::kMaxDepth));
+  std::string objects;
+  for (int i = 0; i <= dsv::Json::kMaxDepth; ++i) objects += R"({"a":)";
+  const auto deep_objects = dsv::Json::parse(objects);
+  EXPECT_FALSE(deep_objects.ok);
+  EXPECT_EQ(deep_objects.offset, 5u * dsv::Json::kMaxDepth);
+  // The line that used to overflow the stack.
+  const std::string line(200000, '[');
+  const auto flood = dsv::Json::parse(line);
+  EXPECT_FALSE(flood.ok);
+  EXPECT_EQ(flood.offset, static_cast<std::size_t>(dsv::Json::kMaxDepth));
+
+  // Through the service: a bad_json reject naming the byte offset.
+  dsv::ServiceConfig cfg;
+  cfg.workers = 1;
+  dsv::Service service(cfg);
+  const dsv::JobResult r = service.run(line);
+  EXPECT_EQ(r.status, "rejected");
+  EXPECT_EQ(r.reject.code, "bad_json");
+  EXPECT_NE(r.reject.message.find("at byte 64"), std::string::npos)
+      << r.reject.message;
+}
+
 TEST(ServiceJson, HashIsStable) {
   // Pinned FNV-1a vector: stable across platforms, so cache keys recorded
   // in CI artifacts stay comparable.

@@ -60,6 +60,35 @@ TEST(Rng, BelowStaysInRange) {
   }
 }
 
+// The rejection-sampling draw Rng::below used for every bound before it
+// got a power-of-two path, kept as the reference that path must match.
+std::uint64_t division_below(du::Rng& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(Rng, BelowPowerOfTwoMatchesDivisionPath) {
+  for (const int k : {0, 1, 2, 4, 5, 16, 31, 32, 63}) {
+    const std::uint64_t bound = std::uint64_t{1} << k;
+    du::Rng fast(1000 + static_cast<std::uint64_t>(k));
+    du::Rng slow(1000 + static_cast<std::uint64_t>(k));
+    for (int i = 0; i < 100000; ++i)
+      ASSERT_EQ(fast.below(bound), division_below(slow, bound))
+          << "bound 2^" << k << " draw " << i;
+    // Both consumed the same number of draws.
+    EXPECT_EQ(fast(), slow());
+  }
+}
+
+TEST(Rng, CoinMatchesChanceOneHalf) {
+  du::Rng fast(5), slow(5);
+  for (int i = 0; i < 100000; ++i)
+    ASSERT_EQ(fast.coin(), slow.chance(0.5)) << "draw " << i;
+}
+
 TEST(Rng, BelowZeroBoundThrows) {
   du::Rng rng(7);
   EXPECT_THROW(rng.below(0), du::UsageError);
