@@ -5,10 +5,7 @@
 // (scripts/bench.py run fabric):
 // the simulator's cost-per-message is the scaling ceiling for booster-style
 // many-small-message traffic, so this file guards it against regressions.
-//
-// The *_Metrics variants run the identical workload with an obs::Registry
-// attached to the engine; scripts/bench.py divides the two to record the
-// observability overhead (budget: < 5%).
+// Every engine's obs::Registry records on these paths.
 
 #include <benchmark/benchmark.h>
 
@@ -18,14 +15,12 @@
 #include "mpi/types.hpp"
 #include "net/crossbar.hpp"
 #include "net/torus.hpp"
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "tests/mpi_rig.hpp"
 
 namespace dc = deep::cbp;
 namespace dm = deep::mpi;
 namespace dn = deep::net;
-namespace dob = deep::obs;
 namespace ds = deep::sim;
 
 namespace {
@@ -55,14 +50,12 @@ dn::Message mpi_shaped(deep::hw::NodeId src, deep::hw::NodeId dst,
   return m;
 }
 
-void torus_hot_path(benchmark::State& state, bool with_metrics) {
+void BM_TorusMessageHotPath(benchmark::State& state) {
   // Steady-state cost of one header-carrying, payload-carrying message on an
   // 8x8x8 torus: routing, link bookkeeping, delivery event, NIC dispatch.
   // Engine and fabric live across iterations so pools/caches are warm.
   const int nodes = 512;
   ds::Engine eng;
-  dob::Registry reg;
-  if (with_metrics) eng.set_metrics(&reg);
   dn::TorusParams p;
   p.dims = {8, 8, 8};
   dn::TorusFabric t(eng, "extoll", p);
@@ -79,16 +72,7 @@ void torus_hot_path(benchmark::State& state, bool with_metrics) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * nodes);
 }
-
-void BM_TorusMessageHotPath(benchmark::State& state) {
-  torus_hot_path(state, /*with_metrics=*/false);
-}
 BENCHMARK(BM_TorusMessageHotPath);
-
-void BM_TorusMessageHotPath_Metrics(benchmark::State& state) {
-  torus_hot_path(state, /*with_metrics=*/true);
-}
-BENCHMARK(BM_TorusMessageHotPath_Metrics);
 
 void BM_TorusBulkContended(benchmark::State& state) {
   // Bulk (RMA-class) messages with shared-link contention resolution.
@@ -109,13 +93,11 @@ void BM_TorusBulkContended(benchmark::State& state) {
 }
 BENCHMARK(BM_TorusBulkContended);
 
-void crossbar_hot_path(benchmark::State& state, bool with_metrics) {
+void BM_CrossbarMessageHotPath(benchmark::State& state) {
   // Same message shape over the flat InfiniBand model: isolates the shared
   // Message/payload/delivery cost from torus routing.
   const int nodes = 64;
   ds::Engine eng;
-  dob::Registry reg;
-  if (with_metrics) eng.set_metrics(&reg);
   dn::CrossbarFabric ib(eng, "ib", {});
   for (int n = 0; n < nodes; ++n)
     ib.attach(n).bind(dn::Port::Raw, [](dn::Message&&) {});
@@ -127,23 +109,12 @@ void crossbar_hot_path(benchmark::State& state, bool with_metrics) {
   }
   state.SetItemsProcessed(state.iterations() * nodes);
 }
-
-void BM_CrossbarMessageHotPath(benchmark::State& state) {
-  crossbar_hot_path(state, /*with_metrics=*/false);
-}
 BENCHMARK(BM_CrossbarMessageHotPath);
 
-void BM_CrossbarMessageHotPath_Metrics(benchmark::State& state) {
-  crossbar_hot_path(state, /*with_metrics=*/true);
-}
-BENCHMARK(BM_CrossbarMessageHotPath_Metrics);
-
-void cbp_bridge_hot_path(benchmark::State& state, bool with_metrics) {
+void BM_CbpBridgeHotPath(benchmark::State& state) {
   // Cross-fabric messages: wrap in a CBP frame, hop to a gateway, SMFU
   // processing, re-injection on the far fabric.
   ds::Engine eng;
-  dob::Registry reg;
-  if (with_metrics) eng.set_metrics(&reg);
   dn::CrossbarFabric ib(eng, "ib", {});
   dn::TorusParams tp;
   tp.dims = {4, 2, 1};
@@ -169,16 +140,7 @@ void cbp_bridge_hot_path(benchmark::State& state, bool with_metrics) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-
-void BM_CbpBridgeHotPath(benchmark::State& state) {
-  cbp_bridge_hot_path(state, /*with_metrics=*/false);
-}
 BENCHMARK(BM_CbpBridgeHotPath);
-
-void BM_CbpBridgeHotPath_Metrics(benchmark::State& state) {
-  cbp_bridge_hot_path(state, /*with_metrics=*/true);
-}
-BENCHMARK(BM_CbpBridgeHotPath_Metrics);
 
 void BM_MpiEagerThroughput(benchmark::State& state) {
   // End-to-end: rank 0 streams eager messages to rank 1 (isend + periodic

@@ -47,13 +47,11 @@
 #include "net/crossbar.hpp"
 #include "net/partition.hpp"
 #include "net/torus.hpp"
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace db = deep::bench;
 namespace dh = deep::hw;
 namespace dn = deep::net;
-namespace dob = deep::obs;
 namespace ds = deep::sim;
 namespace du = deep::util;
 
@@ -103,9 +101,7 @@ struct RunResult {
 };
 
 RunResult run_once(Pattern pattern, std::uint32_t workers) {
-  dob::Registry metrics;
   ds::Engine engine;
-  engine.set_metrics(&metrics);
   engine.set_partitions(kPartitions);
   engine.set_workers(workers);
 
@@ -263,7 +259,8 @@ RunResult run_once(Pattern pattern, std::uint32_t workers) {
   r.events = engine.events_executed();
   r.final_ps = engine.now().ps;
   for (const std::uint64_t s : *sink) r.sink ^= s;
-  r.windows = metrics.value("sim.windows") + metrics.value("sim.solo_windows");
+  r.windows = engine.metrics().value("sim.windows") +
+              engine.metrics().value("sim.solo_windows");
   return r;
 }
 

@@ -152,8 +152,8 @@ def measure_micro(smoke):
 
 
 def measure_fabric(smoke):
-    # Random interleaving spreads the repetitions of each plain/_Metrics
-    # pair across the run, so drift does not bias the overhead ratio.
+    # Random interleaving spreads the repetitions of each bench across the
+    # run, so host drift does not bias one bench against another.
     args = (["--benchmark_min_time=0.01"] if smoke else
             [f"--benchmark_repetitions={FABRIC_REPS}",
              "--benchmark_enable_random_interleaving=true"])
@@ -162,14 +162,7 @@ def measure_fabric(smoke):
         return [], None, code
     ips = items_per_second(doc)
     rows = [(name, layer_of(name), "items/s", v, None)
-            for name, v in ips.items() if not name.endswith("_Metrics")]
-    # Observability overhead: plain throughput over the identical workload
-    # with an obs::Registry attached (budget < 5%, docs/observability.md).
-    for name, v in ips.items():
-        plain = ips.get(name.removesuffix("_Metrics"))
-        if name.endswith("_Metrics") and plain and v:
-            rows.append((f"metrics_overhead/{name.removesuffix('_Metrics')}",
-                         "obs", "%", round((plain / v - 1.0) * 100, 2), None))
+            for name, v in ips.items()]
     # End-to-end wall clock of bench_application (median of three).
     walls = []
     for _ in range(1 if smoke else 3):

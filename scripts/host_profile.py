@@ -6,9 +6,12 @@
                             -- COMMAND [ARGS...]
 
 Runs COMMAND with the host_sampler library (tools/host_sampler.cpp) in
-LD_PRELOAD; the library samples the program counter on every SIGPROF, that
-is once per millisecond of process CPU time, in every thread.  Each sampled
-address is resolved with `addr2line -i -f -C`, inlined frames included.
+LD_PRELOAD; the library samples the program counter on every SIGPROF, in
+every thread, and measures each process's CPU time.  The timer asks for a
+signal per millisecond of CPU, but the kernel may deliver fewer (about one
+per 3.9 ms on a shared VM), so a sample weighs its process's measured CPU
+time divided by its sample count.  Each sampled address is resolved with
+`addr2line -i -f -C`, inlined frames included.
 
 Two tables follow the command's own output (which passes through):
 - layers: a sample counts for the innermost frame that is a `deep::<layer>::`
@@ -22,8 +25,10 @@ Two tables follow the command's own output (which passes through):
 
 Inline frames need debug info (-g); without it every sample goes to its
 outermost function's layer.  --check-min-samples and --check-layer turn the
-run into a smoke test: the exit code is 1 when there are fewer samples or no
-row of that layer.  Otherwise the exit code is the command's.
+run into a smoke test: the exit code is 1 when there are fewer samples, no
+row of that layer, or (with --check-min-samples) a measured CPU time more
+than CPU_TOLERANCE away from the CPU time getrusage() reports for the
+command.  Otherwise the exit code is the command's.
 """
 
 import argparse
@@ -33,6 +38,7 @@ import functools
 import glob
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -41,20 +47,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SAMPLER = ROOT / "build" / "tools" / "libhost_sampler.so"
 TOP_FUNCTIONS = 15
+CPU_TOLERANCE = 0.15
 
 
 def read_samples(prefix):
-    """Returns (interval_us, maps, pcs) merged over every process file."""
+    """Returns (interval_us, maps, pcs, weights, cpu_ns) merged over every
+    process file; weights maps a pid file to its CPU nanoseconds per sample,
+    cpu_ns is the measured CPU time of all processes."""
     interval = None
-    maps = {}  # pid file -> list of (start, end, offset, path)
-    pcs = []   # (pid file, pc, count)
+    cpu_ns = 0
+    maps = {}     # pid file -> list of (start, end, offset, path)
+    pcs = []      # (pid file, pc, count)
+    weights = {}  # pid file -> measured CPU ns / samples
     for path in sorted(glob.glob(prefix + ".*")):
         regions = []
         with open(path) as f:
             for line in f:
                 kind, _, rest = line.partition(" ")
                 if kind == "host_sampler":
-                    interval = int(rest.split()[1])
+                    header = rest.split()
+                    fields = dict(zip(header[::2], map(int, header[1::2])))
+                    interval = fields["interval_us"]
+                    weights[path] = fields["cpu_ns"] / max(fields["samples"], 1)
+                    cpu_ns += fields["cpu_ns"]
                 elif kind == "map":
                     fields = rest.split(None, 5)
                     if len(fields) < 6:
@@ -66,7 +81,7 @@ def read_samples(prefix):
                     pc, count = rest.split()
                     pcs.append((path, int(pc, 16), int(count)))
         maps[path] = sorted(regions)
-    return interval, maps, pcs
+    return interval, maps, pcs, weights, cpu_ns
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,18 +151,19 @@ def object_row(path):
 
 
 def profile(prefix):
-    interval, maps, pcs = read_samples(prefix)
-    layers = collections.Counter()
-    functions = collections.Counter()
+    interval, maps, pcs, weights, cpu_ns = read_samples(prefix)
+    layers = collections.Counter()          # layer -> CPU ns
+    functions = collections.Counter()       # function -> CPU ns
     wanted = collections.defaultdict(set)   # object -> addresses
-    placed = []                             # (object, addr, count, is_exe)
+    placed = []                             # (object, addr, count, is_exe, ns)
     unnamed = set()                         # objects without a .symtab
     biases = {}                             # (pid file, object) -> bias
     for pid_file, pc, count in pcs:
+        ns = count * weights[pid_file]
         regions = maps.get(pid_file, [])
         k = bisect.bisect_right(regions, (pc, float("inf"))) - 1
         if k < 0 or not regions[k][0] <= pc < regions[k][1]:
-            placed.append((None, pc, count, False))
+            placed.append((None, pc, count, False, ns))
             continue
         obj = regions[k][3]
         if (pid_file, obj) not in biases:
@@ -155,33 +171,33 @@ def profile(prefix):
                                      if obj.startswith("/") else None)
         bias = biases[pid_file, obj]
         if bias is None:
-            placed.append((obj or "?", None, count, False))
+            placed.append((obj or "?", None, count, False, ns))
             continue
         is_exe = not re.search(r"\.so(\.|$)", obj)
         if not has_symtab(obj):
             unnamed.add(obj)
-            placed.append((obj, None, count, is_exe))
+            placed.append((obj, None, count, is_exe, ns))
             continue
         addr = pc - bias
         wanted[obj].add(addr)
-        placed.append((obj, addr, count, is_exe))
+        placed.append((obj, addr, count, is_exe, ns))
     resolved = {obj: resolve(obj, sorted(addrs)) for obj, addrs in wanted.items()}
     total = 0
-    for obj, addr, count, is_exe in placed:
+    for obj, addr, count, is_exe, ns in placed:
         total += count
         chain = resolved.get(obj, {}).get(addr, []) if addr is not None else []
         chain = [f for f in chain if f != "??"]
         layer = next((l for l in map(layer_of, chain) if l), None)
         if layer is None:
             layer = "other" if is_exe else object_row(obj or "?")
-        layers[layer] += count
+        layers[layer] += ns
         outer = chain[-1] if chain else "?"
         if obj in unnamed:
             outer = "%s (no symbols)" % object_row(obj)
         elif not is_exe:
             outer += " [%s]" % object_row(obj or "?")
-        functions[outer] += count
-    return interval, total, layers, functions
+        functions[outer] += ns
+    return interval, total, cpu_ns, layers, functions
 
 
 def short(name, width=100):
@@ -208,18 +224,26 @@ def main():
         prefix = os.path.join(tmp, "samples")
         env = dict(os.environ, HOST_SAMPLER_OUT=prefix,
                    LD_PRELOAD=str(sampler.resolve()))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
         status = subprocess.run(command, env=env, check=False).returncode
-        interval, total, layers, functions = profile(prefix)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        rusage_s = (after.ru_utime + after.ru_stime -
+                    before.ru_utime - before.ru_stime)
+        interval, total, cpu_ns, layers, functions = profile(prefix)
 
-    print("host_profile: %d samples at %s us of CPU time each"
-          % (total, interval if interval is not None else "?"))
-    print("%-22s %8s %7s" % ("layer", "samples", "share"))
-    for layer, count in layers.most_common():
-        print("%-22s %8d %6.1f%%" % (layer, count, 100.0 * count / max(total, 1)))
-    print("top %d outermost functions:" % TOP_FUNCTIONS)
-    for name, count in functions.most_common(TOP_FUNCTIONS):
-        print("%8d %6.1f%%  %s" % (count, 100.0 * count / max(total, 1),
-                                   short(name)))
+    cpu_ms = cpu_ns / 1e6
+    print("host_profile: %d samples over %.1f ms of measured CPU time "
+          "(%.2f ms per sample; the timer asks for %s us)"
+          % (total, cpu_ms, cpu_ms / max(total, 1),
+             interval if interval is not None else "?"))
+    print("%-22s %8s %7s" % ("layer", "cpu_ms", "share"))
+    for layer, ns in layers.most_common():
+        print("%-22s %8.1f %6.1f%%" % (layer, ns / 1e6,
+                                       100.0 * ns / max(cpu_ns, 1)))
+    print("top %d outermost functions (cpu_ms, share):" % TOP_FUNCTIONS)
+    for name, ns in functions.most_common(TOP_FUNCTIONS):
+        print("%8.1f %6.1f%%  %s" % (ns / 1e6, 100.0 * ns / max(cpu_ns, 1),
+                                     short(name)))
 
     failed = []
     if total < args.check_min_samples:
@@ -227,6 +251,10 @@ def main():
                       % (total, args.check_min_samples))
     if args.check_layer and layers[args.check_layer] == 0:
         failed.append("no samples in layer %s" % args.check_layer)
+    if (args.check_min_samples and
+            abs(cpu_ms / 1e3 - rusage_s) > CPU_TOLERANCE * rusage_s):
+        failed.append("measured %.3f s of CPU, getrusage reports %.3f s"
+                      % (cpu_ms / 1e3, rusage_s))
     for msg in failed:
         print("host_profile: CHECK FAILED: " + msg, file=sys.stderr)
     if failed:

@@ -52,17 +52,16 @@ BridgedTransport::BridgedTransport(sim::Engine& engine,
   };
   cluster_->set_drop_handler(handler);
   booster_->set_drop_handler(handler);
-  if (auto* metrics = engine_->metrics()) {
-    m_forwarded_ = metrics->counter("cbp.forwarded");
-    m_forwarded_bytes_ = metrics->counter("cbp.forwarded_bytes");
-    m_timeouts_ = metrics->counter("cbp.timeouts");
-    m_retries_ = metrics->counter("cbp.retries");
-    m_failovers_ = metrics->counter("cbp.failovers");
-    m_frames_lost_ = metrics->counter("cbp.frames_lost");
-    m_smfu_busy_ps_ = metrics->counter("cbp.smfu_busy_ps");
-    m_smfu_wait_ns_ = metrics->histogram("cbp.smfu_wait_ns");
-    m_retry_delay_ns_ = metrics->histogram("cbp.retry_delay_ns");
-  }
+  obs::Registry& metrics = engine_->metrics();
+  m_forwarded_ = metrics.counter("cbp.forwarded");
+  m_forwarded_bytes_ = metrics.counter("cbp.forwarded_bytes");
+  m_timeouts_ = metrics.counter("cbp.timeouts");
+  m_retries_ = metrics.counter("cbp.retries");
+  m_failovers_ = metrics.counter("cbp.failovers");
+  m_frames_lost_ = metrics.counter("cbp.frames_lost");
+  m_smfu_busy_ps_ = metrics.counter("cbp.smfu_busy_ps");
+  m_smfu_wait_ns_ = metrics.histogram("cbp.smfu_wait_ns");
+  m_retry_delay_ns_ = metrics.histogram("cbp.retry_delay_ns");
 }
 
 void BridgedTransport::register_cluster_node(hw::NodeId node) {
@@ -250,7 +249,6 @@ void BridgedTransport::retry_frame(net::Message&& wrapped) {
   auto* frame = net::cbp_frame(wrapped);
   DEEP_EXPECT(frame != nullptr, "CBP: malformed frame in retry path");
   if (frame->attempts >= params_.max_retries) {
-    ++frames_lost_;
     m_frames_lost_.add(1);
     report_loss(unwrap_frame(std::move(wrapped), *frame));
     return;

@@ -88,7 +88,7 @@ class BridgedTransport final : public Transport {
   std::int64_t total_timeouts() const;
   /// Wrapped messages abandoned after max_retries (reported to the MPI
   /// layer as losses).
-  std::int64_t frames_lost() const { return frames_lost_; }
+  std::int64_t frames_lost() const { return m_frames_lost_.value(); }
 
   /// RAS: marks a gateway as failed (or repaired).  Subsequent cross-fabric
   /// traffic fails over to the remaining gateways; frames already in flight
@@ -141,8 +141,7 @@ class BridgedTransport final : public Transport {
   std::deque<GatewayState> gateways_;
   std::size_t rr_next_ = 0;
   std::int64_t unrouted_retries_ = 0;  // retries while no gateway was up
-  std::int64_t frames_lost_ = 0;
-  // Metrics handles (null without a registry; see docs/observability.md).
+  // Metrics handles (see docs/observability.md).
   obs::Counter m_forwarded_;
   obs::Counter m_forwarded_bytes_;
   obs::Counter m_timeouts_;

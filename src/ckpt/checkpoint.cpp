@@ -123,19 +123,18 @@ Manager::Manager(sim::Engine& engine, CkptParams params,
               "ckpt::Manager: L2 enabled but no IoNet");
   DEEP_EXPECT(params_.l3_every == 0 || fs_ != nullptr,
               "ckpt::Manager: L3 enabled but no parallel FS");
-  if (obs::Registry* reg = engine_->metrics()) {
-    m_l1_bytes_ = reg->counter("ckpt.l1_bytes");
-    m_l2_bytes_ = reg->counter("ckpt.l2_bytes");
-    m_l3_bytes_ = reg->counter("ckpt.l3_bytes");
-    m_saves_ = reg->counter("ckpt.saves");
-    m_restores_ = reg->counter("ckpt.restores");
-    m_rollbacks_ = reg->counter("ckpt.rollbacks");
-    m_scratch_ = reg->counter("ckpt.scratch_restarts");
-    m_level_failures_ = reg->counter("ckpt.level_failures");
-    m_save_ns_ = reg->histogram("ckpt.save_ns");
-    m_restore_ns_ = reg->histogram("ckpt.restore_ns");
-    m_recovery_ns_ = reg->histogram("ckpt.recovery_ns");
-  }
+  obs::Registry& reg = engine_->metrics();
+  m_l1_bytes_ = reg.counter("ckpt.l1_bytes");
+  m_l2_bytes_ = reg.counter("ckpt.l2_bytes");
+  m_l3_bytes_ = reg.counter("ckpt.l3_bytes");
+  m_saves_ = reg.counter("ckpt.saves");
+  m_restores_ = reg.counter("ckpt.restores");
+  m_rollbacks_ = reg.counter("ckpt.rollbacks");
+  m_scratch_ = reg.counter("ckpt.scratch_restarts");
+  m_level_failures_ = reg.counter("ckpt.level_failures");
+  m_save_ns_ = reg.histogram("ckpt.save_ns");
+  m_restore_ns_ = reg.histogram("ckpt.restore_ns");
+  m_recovery_ns_ = reg.histogram("ckpt.recovery_ns");
 }
 
 hw::NodeId Manager::buddy_node(int rank) const {

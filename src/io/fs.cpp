@@ -15,11 +15,10 @@ ParallelFs::ParallelFs(IoNet& net, std::vector<hw::NodeId> targets,
               "ParallelFs: stripe size must be positive");
   for (hw::NodeId t : targets_)
     DEEP_EXPECT(t != hw::kInvalidNode, "ParallelFs: invalid target node");
-  if (obs::Registry* reg = net_->engine().metrics()) {
-    m_write_bytes_ = reg->counter("fs.write_bytes");
-    m_read_bytes_ = reg->counter("fs.read_bytes");
-    m_chunks_ = reg->counter("fs.chunks");
-  }
+  obs::Registry& reg = net_->engine().metrics();
+  m_write_bytes_ = reg.counter("fs.write_bytes");
+  m_read_bytes_ = reg.counter("fs.read_bytes");
+  m_chunks_ = reg.counter("fs.chunks");
 }
 
 std::int64_t ParallelFs::chunk_count(std::int64_t bytes) const {

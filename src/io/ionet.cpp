@@ -25,13 +25,12 @@ IoNet::IoNet(sim::Engine& engine, cbp::Transport& transport, IoParams params)
   DEEP_EXPECT(params_.timeout.ps > 0, "IoNet: timeout must be positive");
   DEEP_EXPECT(params_.backoff_factor >= 1.0,
               "IoNet: backoff factor must be >= 1");
-  if (obs::Registry* reg = engine_->metrics()) {
-    m_requests_ = reg->counter("io.requests");
-    m_retries_ = reg->counter("io.retries");
-    m_failures_ = reg->counter("io.failures");
-    m_bytes_ = reg->counter("io.bytes");
-    m_op_ns_ = reg->histogram("io.op_ns");
-  }
+  obs::Registry& reg = engine_->metrics();
+  m_requests_ = reg.counter("io.requests");
+  m_retries_ = reg.counter("io.retries");
+  m_failures_ = reg.counter("io.failures");
+  m_bytes_ = reg.counter("io.bytes");
+  m_op_ns_ = reg.histogram("io.op_ns");
 }
 
 void IoNet::attach(net::Nic& nic) {
@@ -91,7 +90,6 @@ void IoNet::send_request(std::uint64_t id, const PendingOp& op) {
   msg.port = net::Port::Io;
   msg.size_bytes = params_.header_bytes + op.fwd_bytes;
   msg.header = hdr;
-  ++requests_;
   m_requests_.inc();
   m_bytes_.add(op.fwd_bytes);
   transport_->send(std::move(msg), net::Service::Bulk);
@@ -113,13 +111,11 @@ void IoNet::on_timeout(std::uint64_t id, int attempt) {
   if (op.attempts >= params_.max_attempts) {
     op.done = true;
     op.ok = false;
-    ++failures_;
     m_failures_.inc();
     if (op.waiter) op.waiter->wake();
     return;
   }
   ++op.attempts;
-  ++retries_;
   m_retries_.inc();
   send_request(id, op);
   arm_timeout(id, op.attempts);

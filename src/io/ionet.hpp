@@ -94,10 +94,10 @@ class IoNet {
     return wait(ctx, issue(ctx, self, target, kind, fwd_bytes, reply_bytes));
   }
 
-  std::int64_t requests() const { return requests_; }
+  std::int64_t requests() const { return m_requests_.value(); }
   std::int64_t replies() const { return replies_; }
-  std::int64_t retries() const { return retries_; }
-  std::int64_t failures() const { return failures_; }
+  std::int64_t retries() const { return m_retries_.value(); }
+  std::int64_t failures() const { return m_failures_.value(); }
 
  private:
   struct PendingOp {
@@ -124,10 +124,7 @@ class IoNet {
   ServiceCost service_cost_;
   std::uint64_t next_op_ = 1;
   std::map<std::uint64_t, PendingOp> pending_;
-  std::int64_t requests_ = 0;
   std::int64_t replies_ = 0;
-  std::int64_t retries_ = 0;
-  std::int64_t failures_ = 0;
   obs::Counter m_requests_;   // io.requests
   obs::Counter m_retries_;    // io.retries
   obs::Counter m_failures_;   // io.failures

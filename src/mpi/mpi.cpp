@@ -15,11 +15,10 @@ Mpi::Mpi(MpiSystem& system, sim::Context& ctx, hw::Node& node,
       parent_(std::move(parent)) {
   endpoint_ref_ = system.endpoint_ptr(endpoint.id());
   endpoint_->set_owner(&ctx.process());
-  if (auto* m = system.engine().metrics()) {
-    // Per-rank wait-time distribution, keyed by endpoint id (stable across
-    // replays: endpoint ids are allocated in deterministic creation order).
-    m_wait_ns_ = m->histogram("mpi.wait_ns.ep" + std::to_string(endpoint.id()));
-  }
+  // Per-rank wait-time distribution, keyed by endpoint id (stable across
+  // replays: endpoint ids are allocated in deterministic creation order).
+  m_wait_ns_ = system.engine().metrics().histogram(
+      "mpi.wait_ns.ep" + std::to_string(endpoint.id()));
 }
 
 Mpi::~Mpi() {

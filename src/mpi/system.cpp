@@ -13,13 +13,12 @@ MpiSystem::MpiSystem(sim::Engine& engine, cbp::Transport& transport,
   DEEP_EXPECT(params_.header_bytes >= 0, "MpiSystem: negative header size");
   transport_->set_loss_handler(
       [this](net::Message&& msg) { handle_loss(std::move(msg)); });
-  if (auto* m = engine_->metrics()) {
-    metrics_.eager_sends = m->counter("mpi.eager_sends");
-    metrics_.rendezvous_sends = m->counter("mpi.rendezvous_sends");
-    metrics_.messages_lost = m->counter("mpi.messages_lost");
-    metrics_.msg_bytes = m->histogram("mpi.msg_bytes");
-    metrics_.wait_ns = m->histogram("mpi.wait_ns");
-  }
+  obs::Registry& m = engine_->metrics();
+  metrics_.eager_sends = m.counter("mpi.eager_sends");
+  metrics_.rendezvous_sends = m.counter("mpi.rendezvous_sends");
+  metrics_.messages_lost = m.counter("mpi.messages_lost");
+  metrics_.msg_bytes = m.histogram("mpi.msg_bytes");
+  metrics_.wait_ns = m.histogram("mpi.wait_ns");
 }
 
 MpiSystem::~MpiSystem() = default;
@@ -89,7 +88,6 @@ void MpiSystem::route(net::Message msg, net::Service svc) {
 void MpiSystem::handle_loss(net::Message&& msg) {
   auto* h = net::wire_header(msg);
   if (h == nullptr) return;  // not an MPI protocol message
-  ++messages_lost_;
   metrics_.messages_lost.add(1);
 
   // The destination endpoint will never see this sequence number; punch the

@@ -62,9 +62,9 @@ class MpiSystem {
   sim::Engine& engine() const { return *engine_; }
   const MpiParams& params() const { return params_; }
 
-  /// System-wide MPI instrument handles (detached when the engine has no
-  /// registry).  Endpoints and rank handles record through these; the
-  /// per-rank wait histograms live on the Mpi handles themselves.
+  /// System-wide MPI instrument handles in the engine's registry.
+  /// Endpoints and rank handles record through these; the per-rank wait
+  /// histograms live on the Mpi handles themselves.
   struct Metrics {
     obs::Counter eager_sends;        // sends at or below the eager threshold
     obs::Counter rendezvous_sends;   // RTS/CTS protocol sends
@@ -92,7 +92,7 @@ class MpiSystem {
   void handle_loss(net::Message&& msg);
 
   /// Wire messages the transport reported as unrecoverably lost.
-  std::int64_t messages_lost() const { return messages_lost_; }
+  std::int64_t messages_lost() const { return metrics_.messages_lost.value(); }
 
   /// Allocates a fresh block of context ids shared by every rank performing
   /// the same collective (split/dup/merge/spawn).  Serial engines memoise a
@@ -177,7 +177,6 @@ class MpiSystem {
   std::map<std::pair<std::uint64_t, std::uint64_t>, ContextId> context_memo_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, SpawnResult> spawn_memo_;
   Spawner spawner_;
-  std::int64_t messages_lost_ = 0;
   Metrics metrics_;
 };
 

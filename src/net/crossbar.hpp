@@ -26,11 +26,10 @@ class CrossbarFabric final : public Fabric {
       : Fabric(engine, std::move(name)), params_(params) {
     DEEP_EXPECT(params_.bandwidth_bytes_per_sec > 0,
                 "CrossbarFabric: bandwidth must be positive");
-    if (auto* metrics = engine.metrics()) {
-      m_link_busy_ps_ =
-          metrics->counter("net." + this->name() + ".link_busy_ps");
-      m_tx_wait_ns_ = metrics->histogram("net." + this->name() + ".tx_wait_ns");
-    }
+    m_link_busy_ps_ =
+        engine.metrics().counter("net." + this->name() + ".link_busy_ps");
+    m_tx_wait_ns_ =
+        engine.metrics().histogram("net." + this->name() + ".tx_wait_ns");
   }
 
   const CrossbarParams& params() const { return params_; }

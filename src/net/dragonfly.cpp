@@ -6,9 +6,7 @@ namespace deep::net {
 
 DragonflyFabric::DragonflyFabric(sim::Engine& engine, std::string name,
                                  DragonflyParams params)
-    : WormholeFabric(engine, std::move(name)),
-      params_(params),
-      valiant_lane_(util::kMaxLanes, 0) {
+    : WormholeFabric(engine, std::move(name)), params_(params) {
   DEEP_EXPECT(params_.groups >= 2, "DragonflyFabric: need at least 2 groups");
   DEEP_EXPECT(params_.routers_per_group >= 1,
               "DragonflyFabric: routers_per_group must be >= 1");
@@ -24,10 +22,9 @@ DragonflyFabric::DragonflyFabric(sim::Engine& engine, std::string name,
   // Every link the fabric can ever use: local, global, then node slots.
   add_links(static_cast<std::size_t>(global_link(params_.groups, 0)) +
             2 * static_cast<std::size_t>(capacity_));
-  if (auto* metrics = engine_->metrics()) {
-    m_global_hops_ = metrics->counter("net." + name_ + ".global_hops");
-    m_valiant_ = metrics->counter("net." + name_ + ".valiant_detours");
-  }
+  obs::Registry& metrics = engine_->metrics();
+  m_global_hops_ = metrics.counter("net." + name_ + ".global_hops");
+  m_valiant_ = metrics.counter("net." + name_ + ".valiant_detours");
 }
 
 Nic& DragonflyFabric::attach(hw::NodeId node) {
@@ -73,12 +70,6 @@ int DragonflyFabric::global_host(int group, int other) const {
   // group, in group order) round-robin over its routers.
   const int k = other < group ? other : other - 1;
   return k % params_.routers_per_group;
-}
-
-std::int64_t DragonflyFabric::valiant_detours() const {
-  std::int64_t total = 0;
-  for (const std::int64_t v : valiant_lane_) total += v;
-  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +331,6 @@ void DragonflyFabric::send(Message msg, Service svc) {
   if (faulted(msg)) return;
   const Path path = choose_path(router_of(msg.src), router_of(msg.dst));
   if (path.valiant) {
-    valiant_lane_[util::exec_lane()] += 1;
     m_valiant_.add(1);
   }
   m_global_hops_.add(path.globals);

@@ -92,7 +92,7 @@ class DragonflyFabric final : public WormholeFabric {
   /// Router index (within `group`) hosting the global link to `other`.
   int global_host(int group, int other) const;
   /// Valiant detours taken so far (all lanes) — fault fallbacks included.
-  std::int64_t valiant_detours() const;
+  std::int64_t valiant_detours() const { return m_valiant_.value(); }
 
   /// Cheapest event a dragonfly send can place on another partition: one
   /// adapter plus a single router traversal (the same-router case).
@@ -202,8 +202,6 @@ class DragonflyFabric final : public WormholeFabric {
   int capacity_ = 0;
   std::vector<int> index_of_;                      // node -> attach order
   std::vector<hw::NodeId> router_rep_;             // router -> lowest node
-  // Per-lane Valiant counters (summed on read; lanes never share a window).
-  mutable std::vector<std::int64_t> valiant_lane_;
   obs::Counter m_global_hops_;  // global-link traversals
   obs::Counter m_valiant_;      // Valiant detours taken
 };

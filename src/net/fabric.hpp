@@ -6,7 +6,7 @@
 // administrative link-state table (set_link_up) and an optional per-message
 // drop hook (set_drop_fn, installed by net::FaultPlan for probabilistic
 // faults).  A message whose route crosses a dead link, or that the drop hook
-// selects, is *dropped*: counted in FabricStats::messages_dropped and handed
+// selects, is *dropped*: counted in net.<name>.dropped and handed
 // to the drop handler (the CBP bridge retries frames, the MPI layer turns
 // losses into error codes).  With no dead links and no drop hook installed
 // the fault path costs one branch per send.
@@ -25,25 +25,28 @@
 #include "net/message.hpp"
 #include "net/nic.hpp"
 #include "sim/engine.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
 #include "util/lane.hpp"
 
 namespace deep::net {
 
-/// Aggregate traffic statistics every fabric keeps.
+/// Aggregate traffic statistics of a fabric, read by Fabric::stats().
 struct FabricStats {
   std::int64_t messages = 0;
   std::int64_t bytes = 0;
   std::int64_t messages_dropped = 0;  // lost to dead links / injected drops
-  sim::Summary delivery_us;  // end-to-end per-message latency in microseconds
+  // End-to-end per-message latency, exact to the picosecond.
+  std::int64_t delivery_ps_sum = 0;
+  std::int64_t delivery_ps_max = 0;
 
-  void merge(const FabricStats& other) {
-    messages += other.messages;
-    bytes += other.bytes;
-    messages_dropped += other.messages_dropped;
-    delivery_us.merge(other.delivery_us);
+  double mean_delivery_us() const {
+    return messages > 0 ? static_cast<double>(delivery_ps_sum) /
+                              static_cast<double>(messages) * 1e-6
+                        : 0.0;
+  }
+  double max_delivery_us() const {
+    return static_cast<double>(delivery_ps_max) * 1e-6;
   }
 };
 
@@ -51,14 +54,11 @@ class Fabric {
  public:
   explicit Fabric(sim::Engine& engine, std::string name)
       : engine_(&engine), name_(std::move(name)) {
-    // Metrics handles (null when no registry is attached to the engine —
-    // recording is then a single branch, same contract as the tracer).
-    if (auto* metrics = engine_->metrics()) {
-      m_messages_ = metrics->counter("net." + name_ + ".messages");
-      m_bytes_ = metrics->counter("net." + name_ + ".bytes");
-      m_dropped_ = metrics->counter("net." + name_ + ".dropped");
-      m_delivery_ns_ = metrics->histogram("net." + name_ + ".delivery_ns");
-    }
+    obs::Registry& metrics = engine_->metrics();
+    m_messages_ = metrics.counter("net." + name_ + ".messages");
+    m_bytes_ = metrics.counter("net." + name_ + ".bytes");
+    m_dropped_ = metrics.counter("net." + name_ + ".dropped");
+    m_delivery_ns_ = metrics.histogram("net." + name_ + ".delivery_ns");
   }
   virtual ~Fabric() = default;
   Fabric(const Fabric&) = delete;
@@ -121,11 +121,18 @@ class Fabric {
     return lookahead();
   }
 
-  /// Merged traffic statistics (booked into per-execution-lane shards, so
-  /// partitioned sends never contend; computed on read).
+  /// Traffic statistics: the counts are the registry's net.<name>.* cells;
+  /// the latency comes from per-execution-lane picosecond totals (the
+  /// delivery_ns histogram rounds to nanoseconds).  Computed on read.
   FabricStats stats() const {
     FabricStats out;
-    for (const FabricStats& shard : shards_) out.merge(shard);
+    out.messages = m_messages_.value();
+    out.bytes = m_bytes_.value();
+    out.messages_dropped = m_dropped_.value();
+    for (const DeliveryLane& lane : delivery_) {
+      out.delivery_ps_sum += lane.ps_sum;
+      out.delivery_ps_max = std::max(out.delivery_ps_max, lane.ps_max);
+    }
     return out;
   }
 
@@ -263,10 +270,6 @@ class Fabric {
     return floor + step * d;
   }
 
-  /// This execution lane's statistics shard.  A partition's events run on
-  /// exactly one lane per window, so shard booking is race-free.
-  FabricStats& stats_shard() { return shards_[util::exec_lane()]; }
-
   /// True when the path this fabric would route src->dst over is usable.
   /// The base implementation knows only the endpoints; topology-aware
   /// fabrics (the torus) override it to walk the actual route.  Called only
@@ -291,7 +294,6 @@ class Fabric {
 
   /// Books and reports a dropped message.
   void drop(Message&& msg) {
-    stats_shard().messages_dropped += 1;
     m_dropped_.add(1);
     if (auto* tracer = engine_->tracer()) {
       tracer->instant(name_ + " wire",
@@ -306,13 +308,15 @@ class Fabric {
   /// Schedules delivery at absolute time `at` and books the statistics.
   void deliver_at(sim::TimePoint at, Message msg) {
     Nic* nic = &this->nic(msg.dst);
-    FabricStats& shard = stats_shard();
-    shard.messages += 1;
-    shard.bytes += msg.size_bytes;
-    shard.delivery_us.add((at - engine_->now()).micros());
+    const std::int64_t latency_ps = (at - engine_->now()).ps;
+    // A partition's events run on exactly one lane per window, so booking
+    // into the lane's totals is race-free.
+    DeliveryLane& lane = delivery_[util::exec_lane()];
+    lane.ps_sum += latency_ps;
+    lane.ps_max = std::max(lane.ps_max, latency_ps);
     m_messages_.add(1);
     m_bytes_.add(msg.size_bytes);
-    m_delivery_ns_.record((at - engine_->now()).ps / 1000);
+    m_delivery_ns_.record(latency_ps / 1000);
     if (auto* tracer = engine_->tracer()) {
       tracer->span(name_ + " wire",
                    std::to_string(msg.src) + "->" + std::to_string(msg.dst) +
@@ -340,8 +344,12 @@ class Fabric {
   std::string name_;
   std::vector<std::unique_ptr<Nic>> nics_;  // indexed by node; null if absent
   std::size_t attached_count_ = 0;
-  std::vector<FabricStats> shards_ =
-      std::vector<FabricStats>(util::kMaxLanes);  // indexed by execution lane
+  struct DeliveryLane {
+    std::int64_t ps_sum = 0;
+    std::int64_t ps_max = 0;
+  };
+  std::vector<DeliveryLane> delivery_ =
+      std::vector<DeliveryLane>(util::kMaxLanes);  // indexed by execution lane
   // Partition geometry, filled by refresh_partitions().
   mutable std::vector<std::uint32_t> unit_owner_;
   mutable std::vector<std::int64_t> pair_hops_;

@@ -34,14 +34,12 @@ TorusFabric::TorusFabric(sim::Engine& engine, std::string name,
     lanes_[w].rng = util::Rng(
         w == 0 ? params_.seed
                : params_.seed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(w)));
-  if (auto* metrics = engine.metrics()) {
-    m_hops_ = metrics->counter("net." + this->name() + ".hops");
-    m_retransmissions_ =
-        metrics->counter("net." + this->name() + ".retransmissions");
-    m_link_busy_ps_ = metrics->counter("net." + this->name() + ".link_busy_ps");
-    m_head_wait_ns_ =
-        metrics->histogram("net." + this->name() + ".head_wait_ns");
-  }
+  obs::Registry& metrics = engine.metrics();
+  m_hops_ = metrics.counter("net." + this->name() + ".hops");
+  m_retransmissions_ =
+      metrics.counter("net." + this->name() + ".retransmissions");
+  m_link_busy_ps_ = metrics.counter("net." + this->name() + ".link_busy_ps");
+  m_head_wait_ns_ = metrics.histogram("net." + this->name() + ".head_wait_ns");
 }
 
 int TorusFabric::linear(TorusCoord c) const {
@@ -165,12 +163,6 @@ bool TorusFabric::route_up(hw::NodeId src, hw::NodeId dst) const {
   return up;
 }
 
-std::int64_t TorusFabric::retransmissions() const {
-  std::int64_t total = 0;
-  for (const LaneState& lane : lanes_) total += lane.retransmissions;
-  return total;
-}
-
 std::int64_t TorusFabric::affected_messages() const {
   std::int64_t total = 0;
   for (const LaneState& lane : lanes_) total += lane.affected_messages;
@@ -269,7 +261,6 @@ sim::Duration TorusFabric::tail_penalty(std::int64_t bytes, int nlinks) {
         0, static_cast<std::int64_t>(std::llround(mean + sd * gauss)));
   }
   if (resends == 0) return {};
-  lane.retransmissions += resends;
   ++lane.affected_messages;
   m_retransmissions_.add(resends);
   const std::int64_t min_packet = std::min(params_.packet_bytes, bytes);

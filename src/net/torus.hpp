@@ -104,7 +104,7 @@ class TorusFabric final : public WormholeFabric {
   std::vector<std::int64_t> route_links(hw::NodeId src, hw::NodeId dst) const;
 
   /// Total link-level retransmissions performed so far (all lanes).
-  std::int64_t retransmissions() const;
+  std::int64_t retransmissions() const { return m_retransmissions_.value(); }
   /// Messages that traversed at least one retransmitted packet (all lanes).
   std::int64_t affected_messages() const;
 
@@ -174,7 +174,6 @@ class TorusFabric final : public WormholeFabric {
   /// the worker count.
   struct LaneState {
     util::Rng rng{0};
-    std::int64_t retransmissions = 0;
     std::int64_t affected_messages = 0;
   };
 
@@ -209,8 +208,8 @@ class TorusFabric final : public WormholeFabric {
   // Per-execution-lane send state (sized once at construction).
   mutable std::vector<LaneState> lanes_;
   int next_linear_ = 0;
-  // Metrics (null handles when no registry; see Fabric).  The core's
-  // m_link_busy_ps_ and m_head_wait_ns_ are registered here too.
+  // Metrics (see Fabric).  The core's m_link_busy_ps_ and m_head_wait_ns_
+  // are registered here too.
   obs::Counter m_hops_;             // torus dimension hops traversed
   obs::Counter m_retransmissions_;  // link-level packet resends
 };

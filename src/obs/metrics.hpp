@@ -3,12 +3,16 @@
 // log-bucketed latency histograms, designed for the engine's zero-allocation
 // hot path (docs/observability.md).
 //
-// Contract (same as sim::Tracer): layers register their instruments once, at
-// construction time, and keep the returned *handle*.  A handle is a registry
-// pointer plus a stable cell index; recording through it is a null check
-// plus plain integer arithmetic — no hashing, no allocation, no floating
-// point.  When no registry is attached the handles are null and every
-// record call collapses to one predictable branch.
+// Contract: every sim::Engine owns one Registry (Engine::metrics()).  Layers
+// register their instruments once, at construction time, and keep the
+// returned *handle*.  A handle is a registry pointer plus a stable cell
+// index; recording through it is plain integer arithmetic — no hashing, no
+// allocation, no floating point.  A registry cell is the single record of
+// its count: layer accessors (Fabric::stats(), IoNet::requests(), ...) read
+// their cells back through the same handles (Counter::value()), so nothing
+// is counted twice.  A default-constructed handle is detached and records
+// nothing (a layer that registers no instruments, such as an inert
+// checkpoint manager).
 //
 // Parallel engine support (docs/parallel_engine.md): cell storage is
 // *lane-indexed*.  A lane corresponds to an engine partition; the executor
@@ -191,6 +195,9 @@ class Counter {
   // are const: layers may record through const references.
   inline void add(std::int64_t v) const;
   void inc() const { add(1); }
+  /// The cell's value merged across lanes (0 when detached).  Cheap enough
+  /// for layer accessors; not for the record path.
+  inline std::int64_t value() const;
   bool attached() const { return reg_ != nullptr; }
 
  private:
@@ -232,9 +239,9 @@ class Histogram {
   std::uint32_t slot_ = 0;
 };
 
-/// The instrument registry.  Owns all cells; attach to an Engine with
-/// set_metrics() *before* constructing the layers so they can register
-/// handles in their constructors.
+/// The instrument registry.  Owns all cells; every sim::Engine owns one,
+/// which exists before any layer is built on the engine, so layers register
+/// their handles in their constructors.
 class Registry {
  public:
   Registry() { lanes_.push_back(std::make_unique<Lane>()); }
@@ -335,6 +342,10 @@ class Registry {
 
 inline void Counter::add(std::int64_t v) const {
   if (reg_) reg_->lane().counters[slot_].value += v;
+}
+
+inline std::int64_t Counter::value() const {
+  return reg_ ? reg_->merged_counter(slot_) : 0;
 }
 
 inline void Gauge::set(std::int64_t v) const {

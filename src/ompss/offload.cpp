@@ -59,12 +59,9 @@ std::vector<std::byte> offload_invoke(mpi::Mpi& mpi,
                                       std::span<const std::byte> input) {
   // Registry lookup per invoke is fine here: an offload is a whole kernel
   // round-trip to the booster, nowhere near the message hot path.
-  obs::Counter m_offloads;
-  obs::Histogram m_offload_ns;
-  if (auto* m = mpi.system().engine().metrics()) {
-    m_offloads = m->counter("ompss.offloads");
-    m_offload_ns = m->histogram("ompss.offload_ns");
-  }
+  obs::Registry& m = mpi.system().engine().metrics();
+  const obs::Counter m_offloads = m.counter("ompss.offloads");
+  const obs::Histogram m_offload_ns = m.histogram("ompss.offload_ns");
   const sim::TimePoint begin = mpi.ctx().now();
   const OffloadHeader header =
       make_header(kernel, static_cast<std::int64_t>(input.size()));

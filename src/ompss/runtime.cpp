@@ -22,11 +22,10 @@ Runtime::Runtime(sim::Context& master, hw::Node& node, int workers)
     p.set_daemon(true);
     workers_.push_back(&p);
   }
-  if (auto* m = master.engine().metrics()) {
-    m_tasks_ = m->counter("ompss.tasks");
-    m_edges_ = m->counter("ompss.dependency_edges");
-    m_task_ns_ = m->histogram("ompss.task_ns");
-  }
+  obs::Registry& m = master.engine().metrics();
+  m_tasks_ = m.counter("ompss.tasks");
+  m_edges_ = m.counter("ompss.dependency_edges");
+  m_task_ns_ = m.histogram("ompss.task_ns");
 }
 
 Runtime::~Runtime() {

@@ -113,7 +113,7 @@ class Runtime {
   std::deque<TaskId> ready_external_;  // for the master (taskwait)
   std::vector<RegionState> region_states_;
   RuntimeStats stats_;
-  // Metrics handles (null without a registry; see docs/observability.md).
+  // Metrics handles (see docs/observability.md).
   obs::Counter m_tasks_;
   obs::Counter m_edges_;
   obs::Histogram m_task_ns_;

@@ -123,7 +123,17 @@ bool Context::killed() const { return process_->kill_requested_; }
 // Engine
 // ---------------------------------------------------------------------------
 
-Engine::Engine() = default;
+Engine::Engine() {
+  // Registration order is the column order of Registry::sample_columns().
+  m_events_ = metrics_.counter("sim.events");
+  m_fiber_switches_ = metrics_.counter("sim.fiber_switches");
+  m_stale_resumes_ = metrics_.counter("sim.stale_resumes");
+  m_queue_depth_ = metrics_.gauge("sim.queue_depth");
+  m_windows_ = metrics_.counter("sim.windows");
+  m_solo_windows_ = metrics_.counter("sim.solo_windows");
+  m_cross_events_ = metrics_.counter("sim.cross_events");
+  m_window_events_ = metrics_.histogram("sim.window_events");
+}
 
 Engine::~Engine() { kill_all_unfinished(); }
 
@@ -185,30 +195,6 @@ void Engine::schedule_on_after(std::uint32_t p, TimePoint t, EventFn fn) {
 void Engine::schedule_process(Partition& part, TimePoint t, EventKind kind,
                               Process& p) {
   part.queue.push(t, part.make_key(), kind, &p, EventFn{});
-}
-
-void Engine::set_metrics(obs::Registry* metrics) {
-  metrics_ = metrics;
-  if (metrics_) {
-    m_events_ = metrics_->counter("sim.events");
-    m_fiber_switches_ = metrics_->counter("sim.fiber_switches");
-    m_stale_resumes_ = metrics_->counter("sim.stale_resumes");
-    m_queue_depth_ = metrics_->gauge("sim.queue_depth");
-    m_windows_ = metrics_->counter("sim.windows");
-    m_solo_windows_ = metrics_->counter("sim.solo_windows");
-    m_cross_events_ = metrics_->counter("sim.cross_events");
-    m_window_events_ = metrics_->histogram("sim.window_events");
-  } else {
-    m_events_ = {};
-    m_fiber_switches_ = {};
-    m_stale_resumes_ = {};
-    m_queue_depth_ = {};
-    m_windows_ = {};
-    m_solo_windows_ = {};
-    m_cross_events_ = {};
-    m_window_events_ = {};
-  }
-  m_barrier_wait_.clear();
 }
 
 void Engine::set_fiber_stack_size(std::size_t bytes) {

@@ -366,12 +366,11 @@ class Engine {
     return t_exec_.engine == this ? t_exec_.part->active_tracer : tracer_;
   }
 
-  /// Attaches (or detaches, with nullptr) a metrics registry.  The engine
-  /// does not own it.  Attach *before* constructing the instrumented layers:
-  /// they register their handles at construction time and a layer built
-  /// against a detached engine records nothing (same contract as Tracer).
-  void set_metrics(obs::Registry* metrics);
-  obs::Registry* metrics() const { return metrics_; }
+  /// The engine's metrics registry.  It exists from construction, so the
+  /// layers built on the engine register their instruments in their
+  /// constructors, and it is the single record of every count they keep.
+  obs::Registry& metrics() { return metrics_; }
+  const obs::Registry& metrics() const { return metrics_; }
 
  private:
   friend class Process;
@@ -460,6 +459,8 @@ class Engine {
   bool run_windowed(TimePoint limit, bool bounded);
   void exec_partition_window(Partition& part);
 
+  // Declared first so it outlives everything that holds handles into it.
+  obs::Registry metrics_;
   // Declared before part0_/extra_ so it is destroyed after them: finishing
   // fibers hand their stacks back to the pool during engine teardown.
   FiberStackPool stack_pool_;
@@ -476,7 +477,6 @@ class Engine {
   bool running_ = false;
   bool parallel_run_ = false;  // inside run_windowed (any worker count)
   Tracer* tracer_ = nullptr;
-  obs::Registry* metrics_ = nullptr;
   obs::Counter m_events_;          // sim.events
   obs::Counter m_fiber_switches_;  // sim.fiber_switches (process slices run)
   obs::Counter m_stale_resumes_;   // sim.stale_resumes (dropped stale events)

@@ -79,7 +79,7 @@ void Engine::exec_partition_window(Partition& part) {
 bool Engine::run_windowed(TimePoint limit, bool bounded) {
   const std::uint32_t P = partitions();
   if (!par_) par_ = std::make_unique<ParallelState>(*this);
-  if (metrics_) metrics_->ensure_lanes(P);
+  metrics_.ensure_lanes(P);
   const std::uint32_t W = std::min(workers_, P);
 
   // Resolve the effective pair lookahead matrix once per run: explicit pair
@@ -102,12 +102,12 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
 
   // Wall-clock barrier instruments are opt-in: their values depend on the
   // host, so they would break deterministic metric snapshots if always on.
-  const bool time_barriers = wallclock_metrics_ && metrics_ != nullptr;
+  const bool time_barriers = wallclock_metrics_;
   if (time_barriers && m_barrier_wait_.size() < W) {
     m_barrier_wait_.clear();
     for (std::uint32_t w = 0; w < W; ++w)
       m_barrier_wait_.push_back(
-          metrics_->histogram("sim.barrier_wait_ns.w" + std::to_string(w)));
+          metrics_.histogram("sim.barrier_wait_ns.w" + std::to_string(w)));
   }
 
   for (std::uint32_t p = 0; p < P; ++p)

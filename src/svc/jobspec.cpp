@@ -10,6 +10,19 @@ namespace {
 
 constexpr std::int64_t kPsPerUs = 1'000'000;
 
+/// A reject quotes at most this many bytes of a client-supplied value, so a
+/// huge name or key is never echoed back onto the wire.
+constexpr std::size_t kQuoteBytes = 64;
+
+/// `value`, cut to kQuoteBytes on a UTF-8 boundary and marked "..." when cut.
+std::string quote(std::string_view value) {
+  if (value.size() <= kQuoteBytes) return std::string(value);
+  std::size_t cut = kQuoteBytes;
+  while (cut > 0 && (static_cast<unsigned char>(value[cut]) & 0xC0) == 0x80)
+    --cut;
+  return std::string(value.substr(0, cut)) + "...";
+}
+
 bool known_workload(const std::string& w) {
   return w == "stencil" || w == "spmv" || w == "nbody" || w == "cholesky";
 }
@@ -45,7 +58,7 @@ bool known_keys(const Json& j, std::initializer_list<std::string_view> known,
   for (const auto& member : j.members()) {
     if (std::find(known.begin(), known.end(), member.first) != known.end())
       continue;
-    const std::string field = prefix + member.first;
+    const std::string field = prefix + quote(member.first);
     reject = {"bad_spec", field, "unknown key '" + field + "'"};
     return false;
   }
@@ -184,7 +197,7 @@ std::optional<JobSpec> JobSpec::from_text(std::string_view text,
 bool JobSpec::validate(Reject& reject) const {
   if (!known_workload(workload)) {
     reject = {"bad_workload", "workload",
-              "unknown workload '" + workload +
+              "unknown workload '" + quote(workload) +
                   "' (expected stencil|spmv|nbody|cholesky)"};
     return false;
   }
@@ -192,7 +205,7 @@ bool JobSpec::validate(Reject& reject) const {
     sys::Topology t;
     if (!sys::parse_topology(topology, t)) {
       reject = {"bad_topology", "topology",
-                "unknown topology '" + topology +
+                "unknown topology '" + quote(topology) +
                     "' (expected deep|fattree|dragonfly)"};
       return false;
     }

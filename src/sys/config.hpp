@@ -44,10 +44,10 @@ const char* topology_name(Topology t);
 /// Parses a canonical name; false (out untouched) for unknown names.
 bool parse_topology(const std::string& name, Topology& out);
 
-/// Observability (docs/observability.md): when enabled, DeepSystem owns an
-/// obs::Registry and attaches it to the engine before building any layer, so
-/// every subsystem registers its instruments.  Off by default — detached
-/// handles cost one dead branch per record site.
+/// Observability (docs/observability.md): every layer always records into
+/// the engine's obs::Registry, the single record of its counts.  `enabled`
+/// only publishes the snapshot: DeepSystem::metrics() returns the registry
+/// (for reports, --metrics-out and service results) instead of nullptr.
 struct MetricsParams {
   bool enabled = false;
 };

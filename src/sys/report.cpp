@@ -11,13 +11,14 @@ namespace deep::sys {
 namespace {
 
 void fabric_rows(util::Table& table, const net::Fabric& fabric) {
+  const net::FabricStats stats = fabric.stats();
   table.row()
       .add(fabric.name())
-      .add(fabric.stats().messages)
-      .add(util::format_bytes(fabric.stats().bytes))
-      .add(fabric.stats().delivery_us.mean())
-      .add(fabric.stats().delivery_us.max())
-      .add(fabric.stats().messages_dropped)
+      .add(stats.messages)
+      .add(util::format_bytes(stats.bytes))
+      .add(stats.mean_delivery_us())
+      .add(stats.max_delivery_us())
+      .add(stats.messages_dropped)
       .add(static_cast<std::int64_t>(fabric.links_down()));
 }
 

@@ -122,13 +122,6 @@ DeepSystem::DeepSystem(SystemConfig config) : config_(std::move(config)) {
   engine_.set_partitions(static_cast<std::uint32_t>(config_.partitions));
   engine_.set_workers(static_cast<std::uint32_t>(config_.workers));
 
-  if (config_.metrics.enabled) {
-    // Attach before any layer exists: fabrics, bridge, MPI and the engine
-    // itself register their instruments in their constructors.
-    metrics_ = std::make_unique<obs::Registry>();
-    engine_.set_metrics(metrics_.get());
-  }
-
   ib_ = std::make_unique<net::CrossbarFabric>(engine_, "infiniband", config_.ib);
   // The booster interconnect is selected by config.topology; the cluster
   // crossbar, the gateways and the CBP bridge stay the same, so the machine

@@ -117,8 +117,11 @@ class DeepSystem {
   mpi::MpiSystem& mpi_system() { return *mpi_; }
   /// The armed fault plan, or nullptr when config().faults is inactive.
   net::FaultPlan* fault_plan() { return fault_plan_.get(); }
-  /// The metrics registry, or nullptr when config().metrics is disabled.
-  obs::Registry* metrics() { return metrics_.get(); }
+  /// The engine's metrics registry when config().metrics publishes it,
+  /// else nullptr.  The engine records into it either way.
+  obs::Registry* metrics() {
+    return config_.metrics.enabled ? &engine_.metrics() : nullptr;
+  }
   /// The storage stack, or nullptr when config().ckpt is inactive.
   io::IoNet* ionet() { return ionet_.get(); }
   io::ParallelFs* fs() { return fs_.get(); }
@@ -164,9 +167,6 @@ class DeepSystem {
                           mpi::EpAddr ready_to);
 
   SystemConfig config_;
-  // Declared before the engine and fabrics: layers register instrument
-  // handles at construction time and record through them until destruction.
-  std::unique_ptr<obs::Registry> metrics_;
   sim::Engine engine_;
   std::vector<std::unique_ptr<hw::Node>> nodes_;  // indexed by NodeId
   std::vector<hw::NodeId> cluster_ids_;

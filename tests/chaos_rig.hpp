@@ -123,10 +123,8 @@ inline net::FaultSpec make_chaos_spec(std::uint64_t seed,
 inline ChaosOutcome run_chaos(const ChaosConfig& cfg,
                               const net::FaultSpec& spec,
                               bool with_metrics = false) {
-  obs::Registry registry;
   BridgedMpiRig rig(cfg.cluster_ranks, cfg.booster_ranks, cfg.gateways,
-                    cfg.policy, {}, cfg.bridge,
-                    with_metrics ? &registry : nullptr);
+                    cfg.policy, {}, cfg.bridge);
   sim::Tracer tracer;
   rig.engine().set_tracer(&tracer);
   rig.engine().set_workers(static_cast<std::uint32_t>(cfg.workers));
@@ -192,7 +190,7 @@ inline ChaosOutcome run_chaos(const ChaosConfig& cfg,
   out.messages_lost = rig.system().messages_lost();
   out.final_ps = rig.engine().now().ps;
   out.trace = tracer.to_chrome_json();
-  if (with_metrics) out.metrics = registry.to_json();
+  if (with_metrics) out.metrics = rig.engine().metrics().to_json();
   return out;
 }
 

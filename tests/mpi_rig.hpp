@@ -15,19 +15,9 @@
 #include "net/crossbar.hpp"
 #include "net/partition.hpp"
 #include "net/torus.hpp"
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 
 namespace deep::testing {
-
-/// Member-initialisation shim: attaches a metrics registry to the engine
-/// BEFORE the rig's fabrics construct (they register their instruments in
-/// their constructors).  Declare it between the engine and the fabrics.
-struct MetricsHook {
-  MetricsHook(sim::Engine& engine, obs::Registry* metrics) {
-    if (metrics != nullptr) engine.set_metrics(metrics);
-  }
-};
 
 /// N ranks, one per cluster node, over a plain InfiniBand crossbar.
 class MpiRig {
@@ -151,9 +141,8 @@ class BridgedMpiRig {
   BridgedMpiRig(int cluster_ranks, int booster_ranks, int gateways,
                 cbp::GatewayPolicy policy = cbp::GatewayPolicy::ByPair,
                 mpi::MpiParams params = {}, cbp::BridgeParams bridge_params = {},
-                obs::Registry* metrics = nullptr, int partitions = 1)
-      : metrics_hook_(engine_, metrics),
-        ib_(engine_, "ib", {}),
+                int partitions = 1)
+      : ib_(engine_, "ib", {}),
         extoll_(engine_, "extoll",
                 [&] {
                   // The historical 4x4x4 box when it fits; otherwise the
@@ -254,7 +243,6 @@ class BridgedMpiRig {
 
  private:
   sim::Engine engine_;
-  MetricsHook metrics_hook_;
   net::CrossbarFabric ib_;
   net::TorusFabric extoll_;
   cbp::BridgedTransport bridge_;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -152,7 +153,45 @@ TEST(Crossbar, StatsAccumulate) {
   eng.run();
   EXPECT_EQ(ib.stats().messages, 2);
   EXPECT_EQ(ib.stats().bytes, 300);
-  EXPECT_EQ(ib.stats().delivery_us.count(), 2);
+}
+
+// The report's mean_us/max_us come from Fabric::stats(), which keeps the
+// delivery latency to the picosecond.  Latencies with fractional
+// nanoseconds tell it apart from the delivery_ns histogram, which truncates
+// every sample to whole nanoseconds.
+TEST(Crossbar, LatencyViewIsExactToThePicosecond) {
+  ds::Engine eng;
+  dn::CrossbarParams params;
+  params.latency = ds::Duration{1'500'250};
+  dn::CrossbarFabric ib(eng, "ib", params);
+  std::vector<std::int64_t> latency_ps;
+  for (deep::hw::NodeId n = 0; n < 8; ++n)
+    ib.attach(n).bind(dn::Port::Raw, [&](dn::Message&&) {
+      latency_ps.push_back(eng.now().ps);  // every send leaves at t = 0
+    });
+  for (deep::hw::NodeId n = 0; n < 4; ++n)
+    ib.send(mk(n, n + 4, 100 + 37 * n), dn::Service::Small);
+  eng.run();
+  ASSERT_EQ(latency_ps.size(), 4u);
+
+  std::int64_t sum = 0, max = 0, sub_ns = 0;
+  for (const std::int64_t ps : latency_ps) {
+    sum += ps;
+    max = std::max(max, ps);
+    sub_ns += ps % 1000;
+  }
+  ASSERT_GT(sub_ns, 0) << "latencies must carry fractional nanoseconds";
+  const dn::FabricStats stats = ib.stats();
+  EXPECT_EQ(stats.delivery_ps_sum, sum);
+  EXPECT_EQ(stats.delivery_ps_max, max);
+  EXPECT_EQ(stats.mean_delivery_us(), static_cast<double>(sum) / 4 * 1e-6);
+  EXPECT_EQ(stats.max_delivery_us(), static_cast<double>(max) * 1e-6);
+
+  const deep::obs::HistogramCell ns =
+      *eng.metrics().histogram("net.ib.delivery_ns").cell();
+  EXPECT_NE(stats.mean_delivery_us(),
+            static_cast<double>(ns.sum) / static_cast<double>(ns.count) * 1e-3);
+  EXPECT_NE(stats.max_delivery_us(), static_cast<double>(ns.max) * 1e-3);
 }
 
 // ---------------------------------------------------------------------------

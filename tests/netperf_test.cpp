@@ -25,7 +25,6 @@
 #include "net/crossbar.hpp"
 #include "net/pool.hpp"
 #include "net/torus.hpp"
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 #include "util/error.hpp"
@@ -33,7 +32,6 @@
 namespace dc = deep::cbp;
 namespace dm = deep::mpi;
 namespace dn = deep::net;
-namespace dob = deep::obs;
 namespace ds = deep::sim;
 
 // ---------------------------------------------------------------------------
@@ -344,15 +342,13 @@ dn::Message raw_message(deep::hw::NodeId src, deep::hw::NodeId dst) {
   return m;
 }
 
-// Each proof runs twice: bare, and with an obs::Registry attached to the
-// engine.  Metric recording is pointer-chase + integer adds into cells the
-// registry allocated at registration time, so it must not cost the hot path
-// a single heap allocation either.
+// Every engine's registry records on these paths.  Metric recording is
+// pointer-chase + integer adds into cells the registry allocated at
+// registration time, so it must not cost the hot path a single heap
+// allocation either.
 
-void expect_warm_torus_path_alloc_free(bool with_metrics) {
+TEST(ZeroAllocation, WarmTorusSendPathWithMetricsDoesNotAllocate) {
   ds::Engine eng;
-  dob::Registry reg;
-  if (with_metrics) eng.set_metrics(&reg);
   dn::TorusParams p;
   p.dims = {4, 4, 4};
   dn::TorusFabric fabric(eng, "t", p);
@@ -369,28 +365,14 @@ void expect_warm_torus_path_alloc_free(bool with_metrics) {
   traffic();
   const std::size_t allocs_before = g_allocs;
   traffic();  // measured: header in place, payload/slots/events all pooled
-  EXPECT_EQ(g_allocs, allocs_before)
-      << "steady-state torus send path allocated"
-      << (with_metrics ? " (with metrics attached)" : "");
+  EXPECT_EQ(g_allocs, allocs_before) << "steady-state torus send path allocated";
   EXPECT_GT(sink, 0);
-  if (with_metrics) {
-    EXPECT_GT(reg.value("net.t.messages"), 0)
-        << "registry was attached but recorded nothing";
-  }
+  EXPECT_GT(eng.metrics().value("net.t.messages"), 0)
+      << "the registry recorded nothing";
 }
 
-TEST(ZeroAllocation, WarmTorusSendPathDoesNotAllocate) {
-  expect_warm_torus_path_alloc_free(/*with_metrics=*/false);
-}
-
-TEST(ZeroAllocation, WarmTorusSendPathWithMetricsDoesNotAllocate) {
-  expect_warm_torus_path_alloc_free(/*with_metrics=*/true);
-}
-
-void expect_warm_crossbar_path_alloc_free(bool with_metrics) {
+TEST(ZeroAllocation, WarmCrossbarSendPathWithMetricsDoesNotAllocate) {
   ds::Engine eng;
-  dob::Registry reg;
-  if (with_metrics) eng.set_metrics(&reg);
   dn::CrossbarFabric ib(eng, "ib", {});
   for (int i = 0; i < 16; ++i)
     ib.attach(i).bind(dn::Port::Raw, [](dn::Message&&) {});
@@ -404,25 +386,12 @@ void expect_warm_crossbar_path_alloc_free(bool with_metrics) {
   const std::size_t allocs_before = g_allocs;
   traffic();
   EXPECT_EQ(g_allocs, allocs_before)
-      << "steady-state crossbar send path allocated"
-      << (with_metrics ? " (with metrics attached)" : "");
-  if (with_metrics) {
-    EXPECT_GT(reg.value("net.ib.messages"), 0);
-  }
+      << "steady-state crossbar send path allocated";
+  EXPECT_GT(eng.metrics().value("net.ib.messages"), 0);
 }
 
-TEST(ZeroAllocation, WarmCrossbarSendPathDoesNotAllocate) {
-  expect_warm_crossbar_path_alloc_free(/*with_metrics=*/false);
-}
-
-TEST(ZeroAllocation, WarmCrossbarSendPathWithMetricsDoesNotAllocate) {
-  expect_warm_crossbar_path_alloc_free(/*with_metrics=*/true);
-}
-
-void expect_warm_cbp_path_alloc_free(bool with_metrics) {
+TEST(ZeroAllocation, WarmCbpBridgePathWithMetricsDoesNotAllocate) {
   ds::Engine eng;
-  dob::Registry reg;
-  if (with_metrics) eng.set_metrics(&reg);
   dn::CrossbarFabric ib(eng, "ib", {});
   dn::TorusParams tp;
   tp.dims = {4, 2, 1};
@@ -449,20 +418,8 @@ void expect_warm_cbp_path_alloc_free(bool with_metrics) {
   traffic();
   const std::size_t allocs_before = g_allocs;
   traffic();
-  EXPECT_EQ(g_allocs, allocs_before)
-      << "steady-state CBP bridge path allocated"
-      << (with_metrics ? " (with metrics attached)" : "");
-  if (with_metrics) {
-    EXPECT_GT(reg.value("cbp.forwarded"), 0);
-  }
-}
-
-TEST(ZeroAllocation, WarmCbpBridgePathDoesNotAllocate) {
-  expect_warm_cbp_path_alloc_free(/*with_metrics=*/false);
-}
-
-TEST(ZeroAllocation, WarmCbpBridgePathWithMetricsDoesNotAllocate) {
-  expect_warm_cbp_path_alloc_free(/*with_metrics=*/true);
+  EXPECT_EQ(g_allocs, allocs_before) << "steady-state CBP bridge path allocated";
+  EXPECT_GT(eng.metrics().value("cbp.forwarded"), 0);
 }
 
 // Two ranks exchange an eager message per round: irecv, isend, wait on

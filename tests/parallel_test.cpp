@@ -27,7 +27,6 @@
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/partition.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "sys/system.hpp"
 #include "util/error.hpp"
@@ -295,11 +294,9 @@ TEST(ParallelEngine, ProcessExceptionPropagatesDeterministically) {
 // ---------------------------------------------------------------------------
 
 struct IslandRig {
-  explicit IslandRig(std::uint32_t partitions, std::uint32_t workers,
-                     dobs::Registry* registry = nullptr) {
+  IslandRig(std::uint32_t partitions, std::uint32_t workers) {
     engine.set_partitions(partitions);
     engine.set_workers(workers);
-    if (registry != nullptr) engine.set_metrics(registry);
     bridge = std::make_unique<dn::BridgeFabric>(engine, "cb-bridge",
                                                 dn::BridgeParams{});
     engine.set_lookahead(bridge->lookahead());
@@ -344,9 +341,8 @@ TEST(BridgeFabric, LookaheadIsPositiveAndMatchesLatency) {
 /// Runs a 4-island all-to-neighbour exchange and returns its fingerprint
 /// (trace bytes + metrics JSON + final scalars).
 std::string run_island_exchange(std::uint32_t workers) {
-  dobs::Registry registry;
   ds::Tracer tracer;
-  IslandRig rig(4, workers, &registry);
+  IslandRig rig(4, workers);
   rig.engine.set_tracer(&tracer);
 
   auto received = std::make_shared<std::array<int, 4>>();
@@ -379,14 +375,14 @@ std::string run_island_exchange(std::uint32_t workers) {
   rig.engine.run();
 
   std::string fp = tracer.to_chrome_json();
-  fp += "|" + registry.to_json();
+  fp += "|" + rig.engine.metrics().to_json();
   fp += "|" + std::to_string(rig.engine.now().ps);
   fp += "|" + std::to_string(rig.engine.events_executed());
   const dn::FabricStats stats = rig.bridge->stats();
   fp += "|" + std::to_string(stats.messages) + "," +
         std::to_string(stats.bytes) + "," +
-        std::to_string(stats.delivery_us.count()) + "," +
-        std::to_string(stats.delivery_us.mean());
+        std::to_string(stats.delivery_ps_sum) + "," +
+        std::to_string(stats.delivery_ps_max);
   for (int n = 0; n < 4; ++n) fp += "," + std::to_string((*received)[n]);
   return fp;
 }
@@ -449,9 +445,8 @@ TEST(PairLookahead, FallsBackToGlobalUntilSet) {
 /// matrix (10 us along the chain, unconstrained elsewhere) the same
 /// simulation needs far fewer windows.
 std::int64_t run_chain_windows(bool per_pair, std::uint32_t workers) {
-  dobs::Registry registry;
   ds::Engine engine;
-  engine.set_metrics(&registry);
+  const dobs::Registry& registry = engine.metrics();
   engine.set_partitions(3);
   engine.set_workers(workers);
   engine.set_lookahead(kUs);
@@ -510,9 +505,8 @@ TEST(PairLookahead, ScheduleOnAfterClampsToHorizon) {
 }
 
 TEST(PairLookahead, SoloActivePartitionBatchesWithoutBarriers) {
-  dobs::Registry registry;
   ds::Engine engine;
-  engine.set_metrics(&registry);
+  const dobs::Registry& registry = engine.metrics();
   engine.set_partitions(2);
   engine.set_workers(2);
   engine.set_lookahead(kUs);
@@ -795,9 +789,8 @@ TEST(DeepSystemPartitions, SpawnedJobIdenticalAcrossWorkers) {
 /// covers the metrics registry, fabric stats and the final scalars.
 std::string run_paper_scale(int partitions, std::uint32_t workers) {
   namespace dt = deep::testing;
-  dobs::Registry registry;
   dt::BridgedMpiRig rig(128, 384, 4, deep::cbp::GatewayPolicy::ByPair, {}, {},
-                        &registry, partitions);
+                        partitions);
   rig.engine().set_workers(workers);
   rig.launch([](deep::mpi::Mpi& mpi) {
     deep::apps::StencilConfig sc;
@@ -809,7 +802,8 @@ std::string run_paper_scale(int partitions, std::uint32_t workers) {
   rig.engine().run();
   const dn::FabricStats ib = rig.ib().stats();
   const dn::FabricStats ex = rig.extoll().stats();
-  return registry.to_json() + "|" + std::to_string(rig.engine().now().ps) +
+  return rig.engine().metrics().to_json() + "|" +
+         std::to_string(rig.engine().now().ps) +
          "|" + std::to_string(rig.engine().events_executed()) + "|" +
          std::to_string(ib.messages) + "," + std::to_string(ib.bytes) + "|" +
          std::to_string(ex.messages) + "," + std::to_string(ex.bytes);
@@ -861,10 +855,9 @@ std::string run_low_lookahead_traffic(std::uint32_t partitions,
   constexpr std::int64_t kTickPs = kUs.ps;
   constexpr int kTicks = 120;
 
-  dobs::Registry registry;
   ds::Tracer tracer;
   ds::Engine engine;
-  engine.set_metrics(&registry);
+  dobs::Registry& registry = engine.metrics();
   engine.set_tracer(&tracer);
   engine.set_partitions(partitions);
   engine.set_workers(workers);
@@ -923,7 +916,7 @@ TEST(ParallelDeterminism, LowLookaheadCrossTrafficIdenticalAcrossWorkers) {
 }
 
 // ---------------------------------------------------------------------------
-// Building blocks: lane-sharded metrics and Summary::merge
+// Building blocks: lane-sharded metrics
 // ---------------------------------------------------------------------------
 
 TEST(ParallelObs, RegistryMergesLanes) {
@@ -943,23 +936,6 @@ TEST(ParallelObs, RegistryMergesLanes) {
   EXPECT_EQ(registry.value("test.counter"), 31);
   const std::string json = registry.to_json();
   EXPECT_NE(json.find("\"count\":3"), std::string::npos) << json;
-}
-
-TEST(ParallelObs, SummaryMergeMatchesSequential) {
-  ds::Summary all, a, b, empty;
-  for (int i = 1; i <= 10; ++i) {
-    all.add(i * 1.5);
-    (i <= 4 ? a : b).add(i * 1.5);
-  }
-  ds::Summary merged;
-  merged.merge(a);
-  merged.merge(empty);
-  merged.merge(b);
-  EXPECT_EQ(merged.count(), all.count());
-  EXPECT_DOUBLE_EQ(merged.mean(), all.mean());
-  EXPECT_DOUBLE_EQ(merged.min(), all.min());
-  EXPECT_DOUBLE_EQ(merged.max(), all.max());
-  EXPECT_NEAR(merged.stddev(), all.stddev(), 1e-9);
 }
 
 }  // namespace

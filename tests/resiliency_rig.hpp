@@ -158,7 +158,6 @@ class ResiliencyRig {
  public:
   ResiliencyRig(const ResiliencyConfig& cfg, const net::FaultSpec& spec)
       : cfg_(cfg),
-        metrics_hook_(engine_, &registry_),
         ib_(engine_, "ib", {}),
         extoll_(engine_, "extoll",
                 [&] {
@@ -247,7 +246,6 @@ class ResiliencyRig {
   }
 
   sim::Engine& engine() { return engine_; }
-  obs::Registry& registry() { return registry_; }
   sim::Tracer& tracer() { return tracer_; }
   net::FaultPlan& plan() { return plan_; }
   net::CrossbarFabric& ib() { return ib_; }
@@ -293,7 +291,7 @@ class ResiliencyRig {
         ib_.stats().messages_dropped + extoll_.stats().messages_dropped;
     out.final_ps = engine_.now().ps;
     out.trace = tracer_.to_chrome_json();
-    out.metrics = registry_.to_json();
+    out.metrics = engine_.metrics().to_json();
     return out;
   }
 
@@ -328,10 +326,6 @@ class ResiliencyRig {
 
   ResiliencyConfig cfg_;
   sim::Engine engine_;
-  // The registry must outlive (and be constructed before) the metrics hook:
-  // set_metrics registers the engine's own instruments immediately.
-  obs::Registry registry_;
-  MetricsHook metrics_hook_;
   sim::Tracer tracer_;
   net::CrossbarFabric ib_;
   net::TorusFabric extoll_;

@@ -340,6 +340,29 @@ TEST(ServiceRejects, UnknownKeyNamesTheField) {
   EXPECT_EQ(spec_text(*back), spec_text(spec));
 }
 
+// A reject quotes only a prefix of the offending value: a 1 MB workload
+// name or key must not come back whole in the response.
+TEST(ServiceRejects, HugeValuesAreQuotedByPrefix) {
+  dsv::ServiceConfig cfg;
+  cfg.workers = 1;
+  dsv::Service service(cfg);
+  const std::string huge(1 << 20, 'w');
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"workload":")" + huge + R"("})", "bad_workload"},
+      {R"({"topology":")" + huge + R"("})", "bad_topology"},
+      {"{\"" + huge + "\":1}", "bad_spec"},
+      {R"({"faults":{")" + huge + R"(":1}})", "bad_spec"},
+  };
+  for (const auto& [text, code] : cases) {
+    const dsv::JobResult result = service.run(text);
+    EXPECT_EQ(result.status, "rejected");
+    EXPECT_EQ(result.reject.code, code);
+    const std::string wire = result.to_json().dump();
+    EXPECT_LT(wire.size(), 512u) << wire.substr(0, 256);
+    EXPECT_NE(wire.find("www..."), std::string::npos) << wire;
+  }
+}
+
 TEST(ServiceRejects, QueueSaturationShedsTypedReject) {
   dsv::ServiceConfig cfg;
   cfg.workers = 1;

@@ -11,7 +11,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
@@ -322,24 +321,6 @@ TEST(Mailbox, SecondConsumerRejected) {
     EXPECT_THROW(box.try_receive(ctx), deep::util::UsageError);
   });
   eng.run();
-}
-
-TEST(Stats, SummaryMoments) {
-  ds::Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.13809, 1e-4);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Stats, EmptySummaryIsZero) {
-  ds::Summary s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
 }
 
 // Determinism: two runs of an identical mixed workload produce identical

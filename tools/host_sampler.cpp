@@ -1,12 +1,15 @@
 // host_sampler — a statistical host-CPU profiler loaded with LD_PRELOAD.
 //
 // When HOST_SAMPLER_OUT is set, the library arms ITIMER_PROF at load time.
-// Every SIGPROF (one per kIntervalUs microseconds of process CPU time)
-// records the interrupted program counter, whatever code it is
-// in: inlined callees, libc and other shared objects included.  At exit the
-// process writes <HOST_SAMPLER_OUT>.<pid>: its /proc/self/maps, then each
-// sampled address with its count.  scripts/host_profile.py runs a command
-// under the sampler and turns those files into per-layer shares.
+// Every SIGPROF records the interrupted program counter, whatever code it
+// is in: inlined callees, libc and other shared objects included.  The timer
+// asks for one signal per kIntervalUs microseconds of process CPU time, but
+// the kernel may deliver fewer (about one per 3.9 ms on some VMs), so the
+// library also reads CLOCK_PROCESS_CPUTIME_ID at load and at exit.  At exit
+// the process writes <HOST_SAMPLER_OUT>.<pid>: a header with the measured
+// CPU time, its /proc/self/maps, then each sampled address with its count.
+// scripts/host_profile.py runs a command under the sampler and turns those
+// files into per-layer CPU time, each sample weighing CPU time / samples.
 //
 //   HOST_SAMPLER_OUT=/tmp/prof LD_PRELOAD=build/tools/libhost_sampler.so cmd
 //
@@ -14,6 +17,7 @@
 // nothing; exec'd children arm their own timer and write their own file.
 
 #include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 #include <unistd.h>
 
@@ -34,6 +38,13 @@ std::uintptr_t g_pcs[kMaxSamples];
 std::atomic<std::size_t> g_taken{0};
 const char* g_prefix = nullptr;
 pid_t g_pid = 0;
+std::int64_t g_cpu_start_ns = 0;
+
+std::int64_t process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+}
 
 void on_sigprof(int, siginfo_t*, void* raw) {
   const auto* uc = static_cast<const ucontext_t*>(raw);
@@ -64,6 +75,7 @@ __attribute__((constructor)) void start_sampling() {
     return;
   }
   g_pid = getpid();
+  g_cpu_start_ns = process_cpu_ns();
   struct sigaction sa {};
   sa.sa_sigaction = on_sigprof;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
@@ -75,13 +87,17 @@ __attribute__((constructor)) void start_sampling() {
 __attribute__((destructor)) void write_samples() {
   if (g_prefix == nullptr || getpid() != g_pid) return;
   set_timer(0);
+  const std::int64_t cpu_ns = process_cpu_ns() - g_cpu_start_ns;
   const std::size_t taken = g_taken.load();
   const std::size_t kept = std::min(taken, kMaxSamples);
   const std::string path = std::string(g_prefix) + "." + std::to_string(g_pid);
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return;
-  std::fprintf(out, "host_sampler interval_us %ld samples %zu dropped %zu\n",
-               kIntervalUs, kept, taken - kept);
+  std::fprintf(out,
+               "host_sampler interval_us %ld samples %zu dropped %zu "
+               "cpu_ns %lld\n",
+               kIntervalUs, kept, taken - kept,
+               static_cast<long long>(cpu_ns));
   if (std::FILE* maps = std::fopen("/proc/self/maps", "r")) {
     char line[4096];
     while (std::fgets(line, sizeof line, maps) != nullptr)
