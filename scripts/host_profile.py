@@ -15,11 +15,14 @@ time divided by its sample count.  Each sampled address is resolved with
 
 Two tables follow the command's own output (which passes through):
 - layers: a sample counts for the innermost frame that is a `deep::<layer>::`
-  function.  Samples in a shared object without such a frame form a row of
-  their own, named after the object (libc, libstdc++, libm, ...); samples in
-  the executable with none (main, gtest, perfbench's own code) form `other`.
+  function, or a function with no scope (a lambda's static invoker `_FUN`)
+  whose source lies under `src/<layer>/`.  Samples in a shared object without
+  such a frame form a row of their own, named after the object (libc,
+  libstdc++, libm, ...); samples in the executable with none (main, gtest,
+  perfbench's own code) form `other`.
 - the TOP_FUNCTIONS most sampled outermost functions: the function the sampled instruction lies
-  in, after inlining.  An object without a symbol table (.symtab), such as
+  in, after inlining.  A name with no scope carries its file:line, as in
+  `_FUN (src/svc/session.cpp:NN)`.  An object without a symbol table (.symtab), such as
   a stripped libc, has one row `<object> (no symbols)`: addr2line would name
   its samples after the nearest exported symbol, which is mostly wrong.
 
@@ -112,7 +115,8 @@ def load_bias(path, regions_of_all):
 
 
 def resolve(obj, addrs):
-    """addr -> list of function names, innermost inline frame first."""
+    """addr -> list of (function name, file:line), innermost inline frame
+    first."""
     if not addrs or not os.path.isfile(obj):
         return {}
     out = subprocess.run(
@@ -121,20 +125,33 @@ def resolve(obj, addrs):
         capture_output=True, text=True, check=False).stdout.splitlines()
     # Per address: its "0x..." line, then a function line and a file:line
     # line for each frame.
-    frames, current, is_function = {}, None, False
+    frames, current, function = {}, None, None
     for line in out:
         if re.fullmatch(r"0x[0-9a-f]+", line):
-            current, is_function = int(line, 16), True
+            current, function = int(line, 16), None
             frames[current] = []
         elif current is not None:
-            if is_function:
-                frames[current].append(line)
-            is_function = not is_function
+            if function is None:
+                function = line
+            else:
+                frames[current].append((function, source_of(line)))
+                function = None
     return frames
 
 
-def layer_of(function):
-    """`deep::<layer>` namespace of a demangled function name, or None."""
+def source_of(location):
+    """addr2line's file:line, relative to the repo root, or None when unknown."""
+    location = location.split(" (discriminator")[0]
+    if location.startswith("??"):
+        return None
+    root = str(ROOT) + os.sep
+    return location[len(root):] if location.startswith(root) else location
+
+
+def layer_of(function, source=None):
+    """`deep::<layer>` namespace of a demangled function name; for a name
+    with no scope (a lambda's static invoker `_FUN`, a C function), the
+    `src/<layer>/` directory of its source file.  None when neither says."""
     name = function.replace("(anonymous namespace)", "anon").split("(")[0]
     while True:  # drop template arguments, innermost first
         stripped = re.sub(r"<[^<>]*>", "", name)
@@ -142,7 +159,18 @@ def layer_of(function):
             break
         name = stripped
     m = re.search(r"\bdeep::(\w+)::", name)
+    if m:
+        return m.group(1)
+    m = re.match(r"src/(\w+)/", source or "") if "::" not in name else None
     return m.group(1) if m else None
+
+
+def label(function, source):
+    """Row name of an outermost frame: an unscoped name carries its file:line,
+    which is all that tells one `_FUN` from another."""
+    if "::" in function.split("(")[0] or not source:
+        return function
+    return "%s (%s)" % (function, source)
 
 
 def object_row(path):
@@ -186,12 +214,12 @@ def profile(prefix):
     for obj, addr, count, is_exe, ns in placed:
         total += count
         chain = resolved.get(obj, {}).get(addr, []) if addr is not None else []
-        chain = [f for f in chain if f != "??"]
-        layer = next((l for l in map(layer_of, chain) if l), None)
+        chain = [f for f in chain if f[0] != "??"]
+        layer = next((l for l in (layer_of(*f) for f in chain) if l), None)
         if layer is None:
             layer = "other" if is_exe else object_row(obj or "?")
         layers[layer] += ns
-        outer = chain[-1] if chain else "?"
+        outer = label(*chain[-1]) if chain else "?"
         if obj in unnamed:
             outer = "%s (no symbols)" % object_row(obj)
         elif not is_exe:

@@ -11,7 +11,8 @@
 # resiliency suite (multi-level checkpoint/restart: 32-seed kill schedules
 # that must complete bit-identically, NVM/FS/buddy unit tests — label:
 # resiliency), the service suite (multi-tenant session isolation,
-# result-cache identity, chaos-job containment — label: service) and the
+# result-cache identity, chaos-job containment, and the deepsim/deepsimd
+# wire and flag-rejection ctests — label: service) and the
 # topology suite (dragonfly/fat-tree adaptive routing, reroute-under-fault
 # determinism, cross-topology sessions — label: topology) ride along so the
 # pooled hot path, the observability layer, the threaded engine, the
@@ -27,10 +28,10 @@ if [ ! -d "$BUILD" ]; then
   echo "== configuring $BUILD (asan preset) =="
   cmake --preset asan
 fi
-echo "== building chaos/netperf/obs/metrics/parallel/resiliency/service/topology tests in $BUILD =="
+echo "== building chaos/netperf/obs/metrics/parallel/resiliency/service/topology tests and the tools in $BUILD =="
 cmake --build "$BUILD" \
   --target chaos_test netperf_test obs_test metrics_test parallel_test \
-  resiliency_test service_test topology_test \
+  resiliency_test service_test topology_test deepsim deepsimd \
   -j "$(nproc)"
 
 # Guard against silently-empty suites: a typo'd or unregistered label would

@@ -210,40 +210,47 @@ bool JobSpec::validate(Reject& reject) const {
       return false;
     }
   }
-  if (cluster < 1) {
-    reject = {"bad_topology", "cluster", "need at least one cluster node"};
+  const auto too_small = [&reject](int value, const char* code,
+                                   const char* field, const char* what) {
+    if (value >= 1) return false;
+    reject = {code, field, std::string("need at least one ") + what};
+    return true;
+  };
+  if (too_small(cluster, "bad_topology", "cluster", "cluster node") ||
+      too_small(booster, "bad_topology", "booster", "booster node") ||
+      too_small(gateways, "bad_topology", "gateways", "gateway") ||
+      too_small(procs, "bad_spec", "procs", "booster rank"))
     return false;
-  }
-  if (booster < 1) {
-    reject = {"bad_topology", "booster", "need at least one booster node"};
-    return false;
-  }
-  if (gateways < 1) {
-    reject = {"bad_topology", "gateways", "need at least one gateway"};
-    return false;
-  }
-  if (procs < 1) {
-    reject = {"bad_spec", "procs", "need at least one booster rank"};
-    return false;
-  }
   if (procs > booster) {
     reject = {"bad_spec", "procs",
               "procs (" + std::to_string(procs) +
                   ") exceed booster nodes (" + std::to_string(booster) + ")"};
     return false;
   }
-  if (steps < 1) {
-    reject = {"bad_spec", "steps", "need at least one step"};
+  if (too_small(steps, "bad_spec", "steps", "step") ||
+      too_small(workers, "bad_spec", "workers", "engine worker") ||
+      too_small(partitions, "bad_topology", "partitions", "partition"))
     return false;
-  }
-  if (workers < 1) {
-    reject = {"bad_spec", "workers", "need at least one engine worker"};
+  // Admission caps (JobSpec::kMax*), checked before anything sized by them
+  // is built.  `what` names a derived quantity when it is not the field.
+  const auto too_large = [&reject](const char* field, std::int64_t value,
+                                   std::int64_t cap,
+                                   const char* what = nullptr) {
+    if (value <= cap) return false;
+    reject = {"too_large", field,
+              std::string(what ? what : field) + " (" + std::to_string(value) +
+                  ") exceeds the admission cap of " + std::to_string(cap)};
+    return true;
+  };
+  if (too_large("cluster", cluster, kMaxCluster) ||
+      too_large("booster", booster, kMaxBooster) ||
+      too_large("gateways", gateways, kMaxGateways) ||
+      too_large("procs", procs, kMaxProcs) ||
+      too_large("steps", steps, kMaxSteps) ||
+      too_large("steps", std::int64_t{procs} * steps, kMaxRankSteps,
+                "procs x steps") ||
+      too_large("workers", workers, kMaxWorkers))
     return false;
-  }
-  if (partitions < 1) {
-    reject = {"bad_topology", "partitions", "need at least one partition"};
-    return false;
-  }
   if (partitions > 1 + booster) {
     reject = {"bad_topology", "partitions",
               "more partitions than booster nodes plus one"};

@@ -1,14 +1,17 @@
 #pragma once
 // Scenario specs for the simulation service (docs/service.md).
 //
-// A JobSpec is the JSON-facing description of one simulation job: which
-// bundled workload to run, on what machine shape, with which engine and
-// fault knobs, under which seed.  Parsing and validation NEVER throw —
+// A JobSpec is the description of one simulation job: which bundled
+// workload to run, on what machine shape, with which engine and fault
+// knobs, under which seed.  The service parses it from JSON; the deepsim
+// CLI fills one from its flags.  Parsing and validation NEVER throw —
 // every way a spec can be wrong is surfaced as a structured Reject (code +
 // field + message) so the daemon can answer bad requests deterministically
-// and keep serving.  The checks mirror the DEEP_EXPECT guards DeepSystem
-// enforces at construction time: a spec that validates here will not trip a
-// UsageError inside the worker.
+// and keep serving, and the CLI can exit 2 naming the field.  The checks
+// mirror the DEEP_EXPECT guards DeepSystem enforces at construction time —
+// a spec that validates here will not trip a UsageError inside the worker —
+// and add admission caps (`too_large`) that bound what one job may
+// allocate.
 //
 // The result cache keys on canonical_key(): the spec re-rendered as a
 // canonical JSON document with EVERY field present (defaults filled in) and
@@ -66,6 +69,21 @@ struct SpecFaults {
 };
 
 struct JobSpec {
+  /// Admission caps: validate() refuses a spec past any of them with a
+  /// `too_large` reject before anything is allocated, so one job cannot
+  /// exhaust the host that runs it.  Measured peak RSS (deepsim, x86-64):
+  /// about 1.1 KB per booster node, under 1 KB per cluster node, 1.6 KB per
+  /// gateway; ranks cost more and grow faster than linearly in cholesky and
+  /// nbody (an nbody rank holds every body).  At every cap at once, one job
+  /// of any workload peaked at 109-432 MB.  procs x steps bounds its work.
+  static constexpr int kMaxCluster = 16'384;
+  static constexpr int kMaxBooster = 65'536;
+  static constexpr int kMaxGateways = 1'024;
+  static constexpr int kMaxProcs = 512;
+  static constexpr int kMaxSteps = 10'000;
+  static constexpr int kMaxWorkers = 64;  // engine threads
+  static constexpr std::int64_t kMaxRankSteps = 65'536;  // procs x steps
+
   std::string workload = "stencil";  // stencil | spmv | nbody | cholesky
   std::string topology = "deep";     // deep | fattree | dragonfly
   bool adaptive = false;  // congestion-aware routing on the booster fabric
@@ -91,7 +109,8 @@ struct JobSpec {
                                           Reject& reject);
 
   /// Semantic validation (topology shapes, engine guards, fault/partition
-  /// composition).  Mirrors DeepSystem's construction-time DEEP_EXPECTs.
+  /// composition, admission caps).  Mirrors DeepSystem's construction-time
+  /// DEEP_EXPECTs.
   bool validate(Reject& reject) const;
 
   /// The spec as a fully-populated canonical JSON object (defaults

@@ -1,9 +1,8 @@
 #include "svc/session.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,40 +24,31 @@ namespace {
 
 constexpr mpi::Tag kResTag = 50;
 
-/// What a workload driver reports back: did verification pass, what was the
-/// scalar result, how many ranks bailed out on a surfaced message loss.
-struct WorkloadOutcome {
-  bool verified = false;
-  double checksum = 0.0;
-  std::shared_ptr<int> mpi_errors = std::make_shared<int>(0);
-};
-
 /// Wraps a rank body so a surfaced loss (gateway dead past its retry
 /// budget, dropped frame) abandons the workload instead of hanging or
 /// tearing the fiber down with an exception — mirrors the chaos rig.
 template <typename Body>
-auto guarded(std::shared_ptr<int> errors, Body body) {
-  return [errors, body = std::move(body)](sys::ProgramEnv& env) {
+auto guarded(int& errors, Body body) {
+  return [&errors, body = std::move(body)](sys::ProgramEnv& env) {
     try {
       body(env);
     } catch (const mpi::MpiError&) {
-      ++*errors;
+      ++errors;
     }
   };
 }
 
-/// stencil: coupled driver (cluster) + Jacobi HSCP (booster).  Quiet
-/// version of the deepsim CLI workload.
-void run_stencil(sys::DeepSystem& system, const JobSpec& spec,
+/// stencil: coupled driver (cluster) + Jacobi HSCP (booster).
+void add_stencil(sys::DeepSystem& system, int procs, int steps,
                  WorkloadOutcome& out) {
   apps::StencilConfig scfg;
   scfg.nx = 256;
   scfg.rows = 64;
   scfg.iterations = 10;
   system.programs().add(
-      "hscp", guarded(out.mpi_errors, [&, scfg](sys::ProgramEnv& env) {
+      "hscp", guarded(out.mpi_errors, [steps, scfg](sys::ProgramEnv& env) {
         mpi::Mpi& mpi = env.mpi;
-        for (int s = 0; s < spec.steps; ++s) {
+        for (int s = 0; s < steps; ++s) {
           const auto res = apps::run_jacobi(mpi, mpi.world(), scfg);
           if (mpi.rank() == 0) {
             const double buf[1] = {res.checksum};
@@ -68,11 +58,11 @@ void run_stencil(sys::DeepSystem& system, const JobSpec& spec,
         }
       }));
   system.programs().add(
-      "main", guarded(out.mpi_errors, [&](sys::ProgramEnv& env) {
-        auto inter =
-            env.mpi.comm_spawn(env.mpi.world(), 0, "hscp", {}, spec.procs);
+      "main",
+      guarded(out.mpi_errors, [procs, steps, &out](sys::ProgramEnv& env) {
+        auto inter = env.mpi.comm_spawn(env.mpi.world(), 0, "hscp", {}, procs);
         double checksum = 0;
-        for (int s = 0; s < spec.steps; ++s) {
+        for (int s = 0; s < steps; ++s) {
           env.mpi.compute({1e9, 0, 0.05}, env.mpi.node().spec().cores);
           double res[1];
           env.mpi.recv<double>(inter, 0, kResTag, res);
@@ -81,12 +71,10 @@ void run_stencil(sys::DeepSystem& system, const JobSpec& spec,
         out.checksum = checksum;
         out.verified = checksum > 0;
       }));
-  system.launch("main", 1);
-  system.run();
 }
 
 /// cholesky: offloaded OmpSs factorisation, verified against the input.
-void run_cholesky(sys::DeepSystem& system, const JobSpec& spec,
+void add_cholesky(sys::DeepSystem& system, int procs, int steps,
                   WorkloadOutcome& out) {
   const int nt = 8, ts = 24;
   system.kernels().add(
@@ -106,12 +94,13 @@ void run_cholesky(sys::DeepSystem& system, const JobSpec& spec,
         ompss::offload_server(env.mpi, system.kernels());
       }));
   system.programs().add(
-      "main", guarded(out.mpi_errors, [&](sys::ProgramEnv& env) {
+      "main",
+      guarded(out.mpi_errors, [procs, steps, &out](sys::ProgramEnv& env) {
         auto inter =
-            env.mpi.comm_spawn(env.mpi.world(), 0, "server", {}, spec.procs);
+            env.mpi.comm_spawn(env.mpi.world(), 0, "server", {}, procs);
         apps::TiledMatrix original(nt, ts), factor(nt, ts);
         apps::fill_spd(original, 1);
-        for (int s = 0; s < spec.steps; ++s) {
+        for (int s = 0; s < steps; ++s) {
           auto reply = ompss::offload_invoke(
               env.mpi, inter, "cholesky",
               std::as_bytes(std::span<const double>(original.storage())));
@@ -122,67 +111,81 @@ void run_cholesky(sys::DeepSystem& system, const JobSpec& spec,
         out.checksum = err;
         out.verified = err < 1e-8;
       }));
-  system.launch("main", 1);
-  system.run();
+}
+
+/// nbody and spmv: a spawned HSCP whose rank 0 sends the two doubles
+/// `solve` returns back to `main`, which hands them to `check`.
+template <typename Solve, typename Check>
+void add_spawned(sys::DeepSystem& system, int procs, WorkloadOutcome& out,
+                 Solve solve, Check check) {
+  system.programs().add(
+      "hscp", guarded(out.mpi_errors, [solve](sys::ProgramEnv& env) {
+        const std::array<double, 2> buf = solve(env.mpi);
+        if (env.mpi.rank() == 0)
+          env.mpi.send<double>(*env.mpi.parent(), 0, kResTag,
+                               std::span<const double>(buf));
+      }));
+  system.programs().add(
+      "main",
+      guarded(out.mpi_errors, [procs, &out, check](sys::ProgramEnv& env) {
+        auto inter = env.mpi.comm_spawn(env.mpi.world(), 0, "hscp", {}, procs);
+        double res[2];
+        env.mpi.recv<double>(inter, 0, kResTag, res);
+        check(res, out);
+      }));
 }
 
 /// nbody: spawned compute-bound HSCP, momentum-conservation check.
-void run_nbody(sys::DeepSystem& system, const JobSpec& spec,
+void add_nbody(sys::DeepSystem& system, int procs, int steps,
                WorkloadOutcome& out) {
   apps::NBodyConfig cfg;
   cfg.bodies_per_rank = 32;
-  cfg.steps = spec.steps;
-  system.programs().add(
-      "hscp", guarded(out.mpi_errors, [&, cfg](sys::ProgramEnv& env) {
-        const auto r = apps::run_nbody(env.mpi, env.mpi.world(), cfg);
-        if (env.mpi.rank() == 0) {
-          const double buf[2] = {r.momentum[0], r.checksum};
-          env.mpi.send<double>(*env.mpi.parent(), 0, kResTag,
-                               std::span<const double>(buf, 2));
-        }
-      }));
-  system.programs().add(
-      "main", guarded(out.mpi_errors, [&](sys::ProgramEnv& env) {
-        auto inter =
-            env.mpi.comm_spawn(env.mpi.world(), 0, "hscp", {}, spec.procs);
-        double res[2];
-        env.mpi.recv<double>(inter, 0, kResTag, res);
-        out.checksum = res[1];
-        out.verified = std::abs(res[0]) < 1e-9 && res[1] > 0;
-      }));
-  system.launch("main", 1);
-  system.run();
+  cfg.steps = steps;
+  add_spawned(
+      system, procs, out,
+      [cfg](mpi::Mpi& mpi) {
+        const auto r = apps::run_nbody(mpi, mpi.world(), cfg);
+        return std::array<double, 2>{r.momentum[0], r.checksum};
+      },
+      [](const double* res, WorkloadOutcome& o) {
+        o.checksum = res[1];
+        o.verified = std::abs(res[0]) < 1e-9 && res[1] > 0;
+      });
 }
 
 /// spmv: spawned banded power iteration, Rayleigh-quotient check.
-void run_spmv(sys::DeepSystem& system, const JobSpec& spec,
+void add_spmv(sys::DeepSystem& system, int procs, int steps,
               WorkloadOutcome& out) {
   apps::SpmvConfig cfg;
   cfg.rows_per_rank = 256;
-  cfg.iterations = std::max(2, spec.steps);
-  system.programs().add(
-      "hscp", guarded(out.mpi_errors, [&, cfg](sys::ProgramEnv& env) {
-        const auto r = apps::run_spmv_power(env.mpi, env.mpi.world(), cfg);
-        if (env.mpi.rank() == 0) {
-          const double buf[2] = {r.eigenvalue, r.checksum};
-          env.mpi.send<double>(*env.mpi.parent(), 0, kResTag,
-                               std::span<const double>(buf, 2));
-        }
-      }));
-  system.programs().add(
-      "main", guarded(out.mpi_errors, [&](sys::ProgramEnv& env) {
-        auto inter =
-            env.mpi.comm_spawn(env.mpi.world(), 0, "hscp", {}, spec.procs);
-        double res[2];
-        env.mpi.recv<double>(inter, 0, kResTag, res);
-        out.checksum = res[0];
-        out.verified = res[0] > 0;
-      }));
-  system.launch("main", 1);
-  system.run();
+  cfg.iterations = std::max(2, steps);
+  add_spawned(
+      system, procs, out,
+      [cfg](mpi::Mpi& mpi) {
+        const auto r = apps::run_spmv_power(mpi, mpi.world(), cfg);
+        return std::array<double, 2>{r.eigenvalue, r.checksum};
+      },
+      [](const double* res, WorkloadOutcome& o) {
+        o.checksum = res[0];
+        o.verified = res[0] > 0;
+      });
 }
 
 }  // namespace
+
+void launch_workload(sys::DeepSystem& system, const JobSpec& spec,
+                     WorkloadOutcome& out) {
+  if (spec.workload == "stencil") {
+    add_stencil(system, spec.procs, spec.steps, out);
+  } else if (spec.workload == "cholesky") {
+    add_cholesky(system, spec.procs, spec.steps, out);
+  } else if (spec.workload == "nbody") {
+    add_nbody(system, spec.procs, spec.steps, out);
+  } else {
+    add_spmv(system, spec.procs, spec.steps, out);
+  }
+  system.launch("main", 1);
+}
 
 std::string SessionResult::fingerprint() const {
   char scalars[128];
@@ -235,22 +238,15 @@ SessionResult run_session(const JobSpec& spec) {
 
   SessionResult result;
   try {
+    WorkloadOutcome out;  // outlives the programs that write it
     sys::DeepSystem system(spec.to_config());
-    WorkloadOutcome out;
+    launch_workload(system, spec, out);
     try {
-      if (spec.workload == "stencil") {
-        run_stencil(system, spec, out);
-      } else if (spec.workload == "cholesky") {
-        run_cholesky(system, spec, out);
-      } else if (spec.workload == "nbody") {
-        run_nbody(system, spec, out);
-      } else {
-        run_spmv(system, spec, out);
-      }
+      system.run();
     } catch (const util::SimError& e) {
       result.error = e.what();  // deadlock report: deterministic text
     }
-    result.mpi_errors = *out.mpi_errors;
+    result.mpi_errors = out.mpi_errors;
     result.ok = result.error.empty() && result.mpi_errors == 0 && out.verified;
     result.checksum = out.checksum;
     result.final_ps = system.engine().now().ps;

@@ -1,4 +1,10 @@
 #pragma once
+// The bundled workloads and the service session that runs them.
+//
+// launch_workload() is the only home of the four workload drivers:
+// run_session() and the deepsim CLI both call it, so a CLI run and a
+// service job of the same spec simulate the same events.
+//
 // One service session = one complete simulation: build the DeepSystem a
 // validated JobSpec describes, run its workload to completion, capture the
 // observable outputs, tear everything down.  The whole lifetime executes
@@ -17,7 +23,27 @@
 
 #include "svc/jobspec.hpp"
 
+namespace deep::sys {
+class DeepSystem;
+}
+
 namespace deep::svc {
+
+/// What a workload reports back when its run completes: did verification
+/// pass, its scalar result, how many ranks abandoned it on a surfaced
+/// message loss.
+struct WorkloadOutcome {
+  bool verified = false;
+  double checksum = 0.0;
+  int mpi_errors = 0;
+};
+
+/// Registers the programs of `spec`'s workload (and, for cholesky, its
+/// offload kernel) on `system` and launches `main` on one cluster rank.
+/// The caller then runs the engine; the programs fill `out` as they finish,
+/// so it must outlive `system`, which holds them.  `spec` must be validated.
+void launch_workload(sys::DeepSystem& system, const JobSpec& spec,
+                     WorkloadOutcome& out);
 
 /// Everything observable about one completed (or failed) session.
 struct SessionResult {

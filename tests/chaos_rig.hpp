@@ -51,7 +51,7 @@ struct ChaosOutcome {
   std::int64_t messages_lost = 0;  // losses surfaced to the MPI layer
   std::int64_t final_ps = 0;       // virtual time when the run ended
   std::string trace;               // Chrome trace JSON of the whole run
-  std::string metrics;             // registry JSON (when run with metrics)
+  std::string metrics;             // registry JSON
 
   /// One comparable string: trace bytes + every scalar.  Equal fingerprints
   /// mean the two runs were indistinguishable.
@@ -121,8 +121,7 @@ inline net::FaultSpec make_chaos_spec(std::uint64_t seed,
 /// never as a hang, because gateway retries are bounded and every loss
 /// error-completes the requests that depended on it.
 inline ChaosOutcome run_chaos(const ChaosConfig& cfg,
-                              const net::FaultSpec& spec,
-                              bool with_metrics = false) {
+                              const net::FaultSpec& spec) {
   BridgedMpiRig rig(cfg.cluster_ranks, cfg.booster_ranks, cfg.gateways,
                     cfg.policy, {}, cfg.bridge);
   sim::Tracer tracer;
@@ -190,7 +189,7 @@ inline ChaosOutcome run_chaos(const ChaosConfig& cfg,
   out.messages_lost = rig.system().messages_lost();
   out.final_ps = rig.engine().now().ps;
   out.trace = tracer.to_chrome_json();
-  if (with_metrics) out.metrics = rig.engine().metrics().to_json();
+  out.metrics = rig.engine().metrics().to_json();
   return out;
 }
 

@@ -412,11 +412,10 @@ TEST(ParallelDeterminism, ChaosRigInsensitiveToWorkers) {
     const auto spec = dt::make_chaos_spec(seed, cfg);
 
     cfg.workers = 1;
-    const std::string baseline =
-        dt::run_chaos(cfg, spec, /*with_metrics=*/true).fingerprint();
+    const std::string baseline = dt::run_chaos(cfg, spec).fingerprint();
     for (const int workers : {2, 4, 8}) {
       cfg.workers = workers;
-      EXPECT_EQ(dt::run_chaos(cfg, spec, true).fingerprint(), baseline)
+      EXPECT_EQ(dt::run_chaos(cfg, spec).fingerprint(), baseline)
           << "seed=" << seed << " workers=" << workers;
     }
   }
@@ -831,11 +830,10 @@ TEST(PaperScale, ChaosSweepIdenticalAcrossWorkers) {
   const auto spec = dt::make_chaos_spec(cfg.seed, cfg);
 
   cfg.workers = 1;
-  const std::string baseline =
-      dt::run_chaos(cfg, spec, /*with_metrics=*/true).fingerprint();
+  const std::string baseline = dt::run_chaos(cfg, spec).fingerprint();
   for (const int workers : {2, 4, 8}) {
     cfg.workers = workers;
-    EXPECT_EQ(dt::run_chaos(cfg, spec, true).fingerprint(), baseline)
+    EXPECT_EQ(dt::run_chaos(cfg, spec).fingerprint(), baseline)
         << "workers=" << workers;
   }
 }

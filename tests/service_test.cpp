@@ -86,13 +86,23 @@ TEST(ServiceReentrancy, BareSystemDoubleRun) {
   EXPECT_EQ(one_run(), one_run());
 }
 
+// Also with metrics off: the registry counts either way and only its
+// publication differs, so the simulation itself must not move.
 TEST(ServiceReentrancy, AllWorkloadsRunTwiceIdentically) {
   for (const char* w : {"stencil", "spmv", "nbody", "cholesky"}) {
-    const dsv::JobSpec spec = small_spec(w, 11);
+    dsv::JobSpec spec = small_spec(w, 11);
     const dsv::SessionResult a = dsv::run_session(spec);
     const dsv::SessionResult b = dsv::run_session(spec);
     ASSERT_TRUE(a.ok) << w << ": " << a.error;
     EXPECT_EQ(a.fingerprint(), b.fingerprint()) << w;
+    spec.metrics = false;
+    const dsv::SessionResult off = dsv::run_session(spec);
+    ASSERT_TRUE(off.ok) << w << ": " << off.error;
+    EXPECT_TRUE(off.metrics_json.empty()) << w;
+    EXPECT_EQ(off.final_ps, a.final_ps) << w;
+    EXPECT_EQ(off.events, a.events) << w;
+    EXPECT_EQ(off.checksum, a.checksum) << w;
+    EXPECT_EQ(off.mpi_errors, a.mpi_errors) << w;
   }
 }
 
@@ -290,6 +300,7 @@ TEST(ServiceRejects, DeterministicAndLeakFree) {
       {R"({"boster":4})", "bad_spec"},
       {R"({"partitions":2,"faults":{"drop_probability":0.5}})",
        "faults_with_partitions"},
+      {R"({"workload":"spmv","booster":1000000000})", "too_large"},
       {R"({"workload":)", "bad_json"},
       {R"(]])", "bad_json"},
   };

@@ -22,6 +22,8 @@
 //     --socket PATH      serve a Unix socket instead of stdin/stdout
 //     --help
 //
+// A flag whose value is missing or not an integer is a usage error: exit 2.
+//
 // Requests pipeline: every line is submitted as soon as it is read, jobs
 // run concurrently on the worker pool, and a writer thread emits results
 // in submission order — so a hot cache answers a burst at queue speed.
@@ -31,12 +33,12 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 
+#include "flags.hpp"
 #include "svc/serve.hpp"
 
 namespace dsv = deep::svc;
@@ -58,29 +60,25 @@ void usage() {
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
+  using deep::tools::flag_int;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
+    bool ok = true;
     if (arg == "--help") return false;
-    if (arg == "--workers") {
-      opt.service.workers = std::atoi(next());
-      opt.service.fork_per_job = false;
-    } else if (arg == "--workers-procs") {
-      opt.service.workers = std::atoi(next());
-      opt.service.fork_per_job = true;
+    if (arg == "--workers" || arg == "--workers-procs") {
+      ok = flag_int(argc, argv, i, opt.service.workers);
+      opt.service.fork_per_job = arg == "--workers-procs";
     } else if (arg == "--queue") {
-      opt.service.queue_capacity =
-          static_cast<std::size_t>(std::atol(next()));
+      ok = flag_int(argc, argv, i, opt.service.queue_capacity);
     } else if (arg == "--cache") {
-      opt.service.cache_entries = static_cast<std::size_t>(std::atol(next()));
+      ok = flag_int(argc, argv, i, opt.service.cache_entries);
     } else if (arg == "--socket") {
-      opt.socket_path = next();
+      ok = deep::tools::flag_text(argc, argv, i, opt.socket_path);
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
