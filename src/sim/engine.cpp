@@ -197,12 +197,6 @@ void Engine::schedule_process(Partition& part, TimePoint t, EventKind kind,
   part.queue.push(t, part.make_key(), kind, &p, EventFn{});
 }
 
-void Engine::set_fiber_stack_size(std::size_t bytes) {
-  DEEP_EXPECT(processes_.empty(),
-              "Engine::set_fiber_stack_size: must be called before spawn");
-  stack_pool_.set_stack_size(bytes);
-}
-
 void Engine::set_partitions(std::uint32_t count) {
   DEEP_EXPECT(count >= 1 && count <= kMaxPartitions,
               "Engine::set_partitions: count out of range");

@@ -12,10 +12,8 @@
 // round-trip, so simulations with tens of thousands of concurrent processes
 // are practical.
 //
-// Fiber stacks default to 256 KiB (pages committed lazily) and are recycled
-// through a free-list pool when processes finish; tune with
-// Engine::set_fiber_stack_size() *before* the first spawn if process bodies
-// need deeper stacks.
+// Fiber stacks are 256 KiB (pages committed lazily) and are recycled
+// through a free-list pool when processes finish.
 //
 // Each event queue is a 4-ary implicit heap of small (time, key, slot)
 // entries over a free-list slot pool (sim/event.hpp).  Callbacks are stored
@@ -351,11 +349,6 @@ class Engine {
 
   std::size_t num_processes() const { return processes_.size(); }
   std::size_t events_executed() const;
-
-  /// Sets the stack size for process fibers (rounded up to a page).  Must be
-  /// called before the first spawn().  Default: 256 KiB, committed lazily.
-  void set_fiber_stack_size(std::size_t bytes);
-  std::size_t fiber_stack_size() const { return stack_pool_.stack_size(); }
 
   /// Attaches (or detaches, with nullptr) an execution tracer.  The engine
   /// does not own it; instrumented layers record spans when one is present.

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <map>
 #include <mutex>
 
 #include "util/error.hpp"
@@ -24,17 +23,12 @@ std::size_t page_size() {
   return page;
 }
 
-std::size_t round_up_to_page(std::size_t bytes) {
-  const std::size_t page = page_size();
-  return (bytes + page - 1) / page * page;
-}
-
-// Stacks left by destroyed pools, one list per stack size.  Leaked on
-// purpose: an engine destroyed during static destruction can still return
-// its stacks, and the lists stay reachable for leak checkers.
+// Stacks left by destroyed pools.  Leaked on purpose: an engine destroyed
+// during static destruction can still return its stacks, and the list
+// stays reachable for leak checkers.
 struct StackCache {
   std::mutex mu;
-  std::map<std::size_t, std::vector<FiberStack>> by_size;
+  std::vector<FiberStack> stacks;
 };
 
 StackCache& stack_cache() {
@@ -81,23 +75,15 @@ struct FiberAsan {
 // FiberStackPool
 // ---------------------------------------------------------------------------
 
-FiberStackPool::FiberStackPool(std::size_t stack_size)
-    : stack_size_(round_up_to_page(stack_size)) {}
-
 FiberStackPool::~FiberStackPool() {
   if (free_.empty()) return;
   StackCache& cache = stack_cache();
   std::lock_guard<std::mutex> lock(cache.mu);
-  for (const FiberStack& s : free_) cache.by_size[s.size].push_back(s);
+  cache.stacks.insert(cache.stacks.end(), free_.begin(), free_.end());
 }
 
 std::size_t FiberStackPool::mapped_total() {
   return g_stacks_mapped.load(std::memory_order_relaxed);
-}
-
-void FiberStackPool::set_stack_size(std::size_t bytes) {
-  DEEP_EXPECT(bytes >= 4 * 1024, "fiber stack size too small (< 4 KiB)");
-  stack_size_ = round_up_to_page(bytes);
 }
 
 FiberStack FiberStackPool::acquire() {
@@ -108,10 +94,9 @@ FiberStack FiberStackPool::acquire() {
   } else {
     StackCache& cache = stack_cache();
     std::lock_guard<std::mutex> lock(cache.mu);
-    const auto it = cache.by_size.find(stack_size_);
-    if (it != cache.by_size.end() && !it->second.empty()) {
-      s = it->second.back();
-      it->second.pop_back();
+    if (!cache.stacks.empty()) {
+      s = cache.stacks.back();
+      cache.stacks.pop_back();
     }
   }
   if (s) {
@@ -122,7 +107,7 @@ FiberStack FiberStackPool::acquire() {
     return s;
   }
   const std::size_t page = page_size();
-  void* mem = ::mmap(nullptr, stack_size_ + page, PROT_READ | PROT_WRITE,
+  void* mem = ::mmap(nullptr, kStackSize + page, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
   if (mem == MAP_FAILED)
     throw util::SimError("FiberStackPool: mmap failed (out of address space?)");
@@ -130,7 +115,7 @@ FiberStack FiberStackPool::acquire() {
   // a neighbouring fiber's stack.
   ::mprotect(mem, page, PROT_NONE);
   g_stacks_mapped.fetch_add(1, std::memory_order_relaxed);
-  return FiberStack{static_cast<char*>(mem) + page, stack_size_};
+  return FiberStack{static_cast<char*>(mem) + page, kStackSize};
 }
 
 void FiberStackPool::release(FiberStack stack) { free_.push_back(stack); }

@@ -10,11 +10,11 @@
 // Stacks are owned by a FiberStackPool: mmap'd blocks with a PROT_NONE guard
 // page at the low end, recycled on a free list when a fiber terminates so
 // spawn-heavy simulations (10k+ processes) do not churn the allocator.  A
-// destroyed pool hands its stacks to a process-wide cache (one list per
-// stack size) that later pools draw from before mapping, so back-to-back
-// simulations in one process pay mmap, mprotect and first-touch page faults
-// once.  The cache never unmaps: it holds the high-water mark of stacks
-// live at once.
+// destroyed pool hands its stacks to a process-wide cache that later pools
+// draw from before mapping, so back-to-back simulations in one process pay
+// mmap, mprotect and first-touch page faults once.  Every stack has the
+// same size, so any cached stack fits any pool.  The cache never unmaps: it
+// holds the high-water mark of stacks live at once.
 //
 // AddressSanitizer support: every switch is annotated with
 // __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber so ASan
@@ -48,27 +48,22 @@ struct FiberStack {
   explicit operator bool() const { return base != nullptr; }
 };
 
-/// Allocates and recycles fiber stacks of one fixed size.  Not thread-safe
+/// Allocates and recycles fiber stacks of kStackSize bytes.  Not thread-safe
 /// (the engine serialises its calls); the process-wide cache behind it is.
 class FiberStackPool {
  public:
-  /// Default stack size for process fibers.  Pages are committed lazily, so
-  /// this costs virtual address space only until a fiber actually recurses.
-  static constexpr std::size_t kDefaultStackSize = 256 * 1024;
+  /// Stack size of every process fiber, a whole number of pages.  Pages are
+  /// committed lazily, so this costs virtual address space only until a
+  /// fiber actually recurses.
+  static constexpr std::size_t kStackSize = 256 * 1024;
 
-  explicit FiberStackPool(std::size_t stack_size = kDefaultStackSize);
+  FiberStackPool() = default;
   ~FiberStackPool();
   FiberStackPool(const FiberStackPool&) = delete;
   FiberStackPool& operator=(const FiberStackPool&) = delete;
 
-  /// Changes the stack size for subsequently acquired stacks.  Must be called
-  /// before the first acquire() (enforced by the caller: the engine rejects
-  /// set_fiber_stack_size() after the first spawn).
-  void set_stack_size(std::size_t bytes);
-  std::size_t stack_size() const { return stack_size_; }
-
-  /// Pops a recycled stack (this pool's, else one of the same size from the
-  /// process-wide cache) or maps a fresh one (guard page included).
+  /// Pops a recycled stack (this pool's, else one from the process-wide
+  /// cache) or maps a fresh one (guard page included).
   FiberStack acquire();
   /// Returns a stack to the free list for reuse by a future fiber.
   void release(FiberStack stack);
@@ -77,7 +72,6 @@ class FiberStackPool {
   static std::size_t mapped_total();
 
  private:
-  std::size_t stack_size_;
   std::vector<FiberStack> free_;
 };
 

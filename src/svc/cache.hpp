@@ -40,8 +40,9 @@ class ResultCache {
   std::optional<SessionResult> lookup(const std::string& key);
 
   /// Stores (or refreshes) `result` under `key`, evicting the least
-  /// recently used entry when full.  Failed sessions are cacheable too —
-  /// their outcome is just as deterministic.
+  /// recently used entry when full.  A failed simulation is cacheable too,
+  /// its outcome is just as deterministic; the service never stores a host
+  /// failure (fork, pipe, a killed child), which is not.
   void insert(const std::string& key, const SessionResult& result);
 
   std::size_t size() const;

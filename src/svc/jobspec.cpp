@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <limits>
 #include <string_view>
 
 namespace deep::svc {
@@ -9,6 +10,9 @@ namespace deep::svc {
 namespace {
 
 constexpr std::int64_t kPsPerUs = 1'000'000;
+/// Latest fault-event time whose picosecond value fits the engine clock.
+constexpr std::int64_t kMaxEventUs =
+    std::numeric_limits<std::int64_t>::max() / kPsPerUs;
 
 /// A reject quotes at most this many bytes of a client-supplied value, so a
 /// huge name or key is never echoed back onto the wire.
@@ -27,7 +31,24 @@ bool known_workload(const std::string& w) {
   return w == "stencil" || w == "spmv" || w == "nbody" || w == "cholesky";
 }
 
-/// Reads an integer member into `out`; false + reject on a non-integer.
+/// Narrows integer `v`, the member `name` of spec field `field`, into
+/// `out`: above the int range is too_large, below it bad_spec.
+bool narrow(const Json& v, const std::string& field, const char* name,
+            int& out, Reject& reject) {
+  const std::int64_t x = v.as_int();
+  const bool above = x > std::numeric_limits<int>::max();
+  if (above || x < std::numeric_limits<int>::min()) {
+    reject = {above ? "too_large" : "bad_spec", field,
+              std::string("'") + name + "' (" + std::to_string(x) + ") is " +
+                  (above ? "above" : "below") + " the int range"};
+    return false;
+  }
+  out = static_cast<int>(x);
+  return true;
+}
+
+/// Reads an integer member into `out`; false + reject on a non-integer or
+/// one outside the int range.
 bool read_int(const Json& j, const char* key, int& out, Reject& reject) {
   const Json* v = j.find(key);
   if (v == nullptr) return true;  // keep default
@@ -35,7 +56,19 @@ bool read_int(const Json& j, const char* key, int& out, Reject& reject) {
     reject = {"bad_spec", key, std::string("'") + key + "' must be an integer"};
     return false;
   }
-  out = static_cast<int>(v->as_int());
+  return narrow(*v, key, key, out, reject);
+}
+
+/// Reads a fault event's optional `up` member (absent means down); false +
+/// reject naming `field` when it is not a boolean.
+bool read_up(const Json& e, const char* field, bool& out, Reject& reject) {
+  const Json* up = e.find("up");
+  if (up == nullptr) return true;
+  if (!up->is_bool()) {
+    reject = {"bad_spec", field, "'up' must be a boolean"};
+    return false;
+  }
+  out = up->as_bool();
   return true;
 }
 
@@ -135,7 +168,6 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
         SpecFaults::GatewayEvent ev;
         const Json* at = e.find("at_us");
         const Json* gw = e.find("gateway");
-        const Json* up = e.find("up");
         if (!e.is_object() || at == nullptr || !at->is_int() ||
             gw == nullptr || !gw->is_int()) {
           reject = {"bad_spec", "faults.gateways",
@@ -146,8 +178,9 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
                         reject))
           return std::nullopt;
         ev.at_us = at->as_int();
-        ev.gateway = static_cast<int>(gw->as_int());
-        ev.up = up != nullptr && up->is_bool() && up->as_bool();
+        if (!narrow(*gw, "faults.gateways", "gateway", ev.gateway, reject) ||
+            !read_up(e, "faults.gateways", ev.up, reject))
+          return std::nullopt;
         spec.faults.gateways.push_back(ev);
       }
     }
@@ -162,7 +195,6 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
         const Json* at = e.find("at_us");
         const Json* a = e.find("a");
         const Json* b = e.find("b");
-        const Json* up = e.find("up");
         if (!e.is_object() || at == nullptr || !at->is_int() || a == nullptr ||
             !a->is_int() || b == nullptr || !b->is_int()) {
           reject = {"bad_spec", "faults.links",
@@ -172,9 +204,10 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
         if (!known_keys(e, {"at_us", "a", "b", "up"}, "faults.links.", reject))
           return std::nullopt;
         ev.at_us = at->as_int();
-        ev.a = static_cast<int>(a->as_int());
-        ev.b = static_cast<int>(b->as_int());
-        ev.up = up != nullptr && up->is_bool() && up->as_bool();
+        if (!narrow(*a, "faults.links", "a", ev.a, reject) ||
+            !narrow(*b, "faults.links", "b", ev.b, reject) ||
+            !read_up(e, "faults.links", ev.up, reject))
+          return std::nullopt;
         spec.faults.links.push_back(ev);
       }
     }
@@ -272,6 +305,8 @@ bool JobSpec::validate(Reject& reject) const {
       reject = {"bad_spec", "faults.gateways", "event times must be >= 0"};
       return false;
     }
+    if (too_large("faults.gateways", ev.at_us, kMaxEventUs, "at_us"))
+      return false;
   }
   for (const auto& ev : faults.links) {
     if (ev.a < 0 || ev.a >= booster || ev.b < 0 || ev.b >= booster) {
@@ -283,6 +318,8 @@ bool JobSpec::validate(Reject& reject) const {
       reject = {"bad_spec", "faults.links", "event times must be >= 0"};
       return false;
     }
+    if (too_large("faults.links", ev.at_us, kMaxEventUs, "at_us"))
+      return false;
   }
   // The faults/partitions guard DeepSystem enforces at construction:
   // reject it here so the worker never throws.

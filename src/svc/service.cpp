@@ -122,26 +122,31 @@ JobResult Service::execute(PendingJob job) {
     return r;
   }
 
-  r.session = cfg_.fork_per_job ? run_forked(job.spec) : run_session(job.spec);
+  // A failed simulation replays bit-identically, so it is cached like a
+  // success; a host failure (fork, pipe, a killed child) is not replayed.
+  bool host_failed = false;
+  r.session = cfg_.fork_per_job ? run_forked(job.spec, host_failed)
+                                : run_session(job.spec);
   r.status = r.session.error.empty() && r.session.ok ? "ok" : "failed";
-  cache_.insert(cache_key, r.session);
+  if (!host_failed) cache_.insert(cache_key, r.session);
   return r;
 }
 
-SessionResult Service::run_forked(const JobSpec& spec) {
-  int fds[2];
-  if (pipe(fds) != 0) {
+SessionResult Service::run_forked(const JobSpec& spec, bool& host_failed) {
+  const auto host_error = [&host_failed](std::string message) {
+    host_failed = true;
     SessionResult r;
-    r.error = std::string("pipe: ") + std::strerror(errno);
+    r.error = std::move(message);
     return r;
-  }
+  };
+  int fds[2];
+  if (pipe(fds) != 0)
+    return host_error(std::string("pipe: ") + std::strerror(errno));
   const pid_t pid = fork();
   if (pid < 0) {
     close(fds[0]);
     close(fds[1]);
-    SessionResult r;
-    r.error = std::string("fork: ") + std::strerror(errno);
-    return r;
+    return host_error(std::string("fork: ") + std::strerror(errno));
   }
   if (pid == 0) {
     // Child: simulate, ship the result as one JSON document, and _exit —
@@ -169,24 +174,15 @@ SessionResult Service::run_forked(const JobSpec& spec) {
   close(fds[0]);
   int wstatus = 0;
   waitpid(pid, &wstatus, 0);
-  if (WIFSIGNALED(wstatus)) {
-    SessionResult r;
-    r.error =
-        "worker child killed by signal " + std::to_string(WTERMSIG(wstatus));
-    return r;
-  }
-  if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0 || doc.empty()) {
-    SessionResult r;
-    r.error = "worker child exited abnormally (status " +
-              std::to_string(WEXITSTATUS(wstatus)) + ")";
-    return r;
-  }
+  if (WIFSIGNALED(wstatus))
+    return host_error("worker child killed by signal " +
+                      std::to_string(WTERMSIG(wstatus)));
+  if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0 || doc.empty())
+    return host_error("worker child exited abnormally (status " +
+                      std::to_string(WEXITSTATUS(wstatus)) + ")");
   const Json::ParseResult parsed = Json::parse(doc);
-  if (!parsed.ok) {
-    SessionResult r;
-    r.error = "worker child result unparsable: " + parsed.error;
-    return r;
-  }
+  if (!parsed.ok)
+    return host_error("worker child result unparsable: " + parsed.error);
   return SessionResult::from_json(parsed.value);
 }
 

@@ -7,8 +7,9 @@
 // served from cache, simulated fresh, failed inside the simulation,
 // rejected before it ever touched a worker — is a structured JobResult.
 // The queue never blocks the submitter: when it is full the job is shed
-// immediately with a typed "queue_full" reject, which is the back-pressure
-// signal a front-end forwards to its client.
+// immediately with a typed "queue_full" reject.  The line loop
+// (svc/serve.hpp) keeps each conversation inside the queue capacity by not
+// reading, so only direct API callers see that reject.
 //
 // Two isolation levels:
 //   threads (default)  — one util::SessionSlot per in-flight job keeps the
@@ -16,7 +17,8 @@
 //   fork-per-job       — each job simulates in a forked child and ships its
 //                        result back over a pipe; a crashing job (or a
 //                        hostile spec) cannot take the daemon down.  The
-//                        parent still caches the shipped result.
+//                        parent caches the shipped result, but not a
+//                        host failure (fork, pipe, a killed child).
 
 #include <condition_variable>
 #include <cstdint>
@@ -78,6 +80,7 @@ class Service {
   std::string stats_json() const;
 
   int workers() const { return static_cast<int>(threads_.size()); }
+  std::size_t queue_capacity() const { return cfg_.queue_capacity; }
   const ResultCache& cache() const { return cache_; }
 
  private:
@@ -88,7 +91,9 @@ class Service {
 
   void worker_loop();
   JobResult execute(PendingJob job);
-  SessionResult run_forked(const JobSpec& spec);
+  /// Simulates `spec` in a forked child; sets `host_failed` when the host,
+  /// not the simulation, ended the job (its result must not be cached).
+  SessionResult run_forked(const JobSpec& spec, bool& host_failed);
   void complete(JobResult result);
 
   ServiceConfig cfg_;

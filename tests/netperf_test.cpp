@@ -252,13 +252,12 @@ TEST(TorusRouteTable, WrapAroundTakesShorterDirection) {
 }
 
 // ---------------------------------------------------------------------------
-// Fiber stacks: recycled across engines, never across stack sizes
+// Fiber stacks: recycled across engines
 // ---------------------------------------------------------------------------
 
 // Spawns `n` processes that are all alive at once, then runs to the end.
-void run_concurrent_processes(int n, std::size_t stack_size = 0) {
+void run_concurrent_processes(int n) {
   ds::Engine eng;
-  if (stack_size != 0) eng.set_fiber_stack_size(stack_size);
   for (int i = 0; i < n; ++i)
     eng.spawn("p" + std::to_string(i),
               [](ds::Context& ctx) { ctx.delay(ds::microseconds(1)); });
@@ -274,30 +273,6 @@ TEST(FiberStackCache, SecondEngineMapsNoNewStacks) {
   EXPECT_EQ(ds::FiberStackPool::mapped_total(), mapped);
 }
 
-TEST(FiberStackCache, StacksOnlyGoToPoolsOfTheirSize) {
-  constexpr std::size_t kSmall = 64 * 1024;
-  void* small_base = nullptr;
-  {
-    ds::FiberStackPool small(kSmall);
-    const ds::FiberStack s = small.acquire();
-    small_base = s.base;
-    small.release(s);
-  }  // the small stack is now in the process-wide cache
-  ds::FiberStackPool dflt;
-  const ds::FiberStack d = dflt.acquire();
-  EXPECT_EQ(d.size, ds::FiberStackPool::kDefaultStackSize);
-  EXPECT_NE(d.base, small_base);
-  dflt.release(d);
-  // A pool of the small size takes it back without mapping.
-  const std::size_t mapped = ds::FiberStackPool::mapped_total();
-  ds::FiberStackPool small_again(kSmall);
-  const ds::FiberStack again = small_again.acquire();
-  EXPECT_EQ(again.base, small_base);
-  EXPECT_EQ(again.size, kSmall);
-  EXPECT_EQ(ds::FiberStackPool::mapped_total(), mapped);
-  small_again.release(again);
-}
-
 // Touches about `kib` KiB of stack; the result depends on every frame.
 int touch_stack(int kib) {
   volatile char frame[1024];
@@ -308,10 +283,10 @@ int touch_stack(int kib) {
 }
 
 TEST(FiberStackCache, DefaultEngineNeverRunsOnASmallStack) {
-  // Small stacks go to the cache when their engine dies.  A default engine
-  // must not get them: its processes may use far more than 64 KiB, and a
-  // small stack would fault on its guard page.
-  run_concurrent_processes(8, 64 * 1024);
+  // Stacks go to the cache when their engine dies.  The next engine's
+  // processes run on them and may use far more than 64 KiB: a recycled
+  // stack must be a whole one, or they would fault on its guard page.
+  run_concurrent_processes(8);
   ds::Engine eng;
   int sum = 0;
   for (int i = 0; i < 8; ++i)

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "apps/stencil.hpp"
-#include "net/bridge.hpp"
+#include "net/crossbar.hpp"
 #include "net/fault.hpp"
 #include "net/partition.hpp"
 #include "net/torus.hpp"
@@ -290,28 +290,33 @@ TEST(ParallelEngine, ProcessExceptionPropagatesDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
-// Bridge fabric: partition-aware delivery
+// Crossbar islands: partition-aware delivery
 // ---------------------------------------------------------------------------
 
+// One crossbar endpoint per partition: every message crosses partitions, so
+// the crossbar books rx on the destination's partition (its cross-partition
+// continuation) and the engine lookahead is the crossbar latency.
 struct IslandRig {
   IslandRig(std::uint32_t partitions, std::uint32_t workers) {
     engine.set_partitions(partitions);
     engine.set_workers(workers);
-    bridge = std::make_unique<dn::BridgeFabric>(engine, "cb-bridge",
-                                                dn::BridgeParams{});
-    engine.set_lookahead(bridge->lookahead());
-    for (std::uint32_t p = 0; p < partitions; ++p)
-      bridge->attach_in(p, p);  // node id == partition id
+    fabric = std::make_unique<dn::CrossbarFabric>(engine, "islands",
+                                                  dn::CrossbarParams{});
+    engine.set_lookahead(fabric->lookahead());
+    for (std::uint32_t p = 0; p < partitions; ++p) {
+      fabric->attach(p);
+      fabric->set_node_partition(p, p);  // node id == partition id
+    }
   }
 
   ds::Engine engine;
-  std::unique_ptr<dn::BridgeFabric> bridge;
+  std::unique_ptr<dn::CrossbarFabric> fabric;
 };
 
-TEST(BridgeFabric, DeliversAcrossPartitions) {
+TEST(CrossbarIslands, DeliversAcrossPartitions) {
   IslandRig rig(2, 2);
   auto delivered = std::make_shared<std::vector<std::int64_t>>();
-  rig.bridge->nic(1).bind(dn::Port::Raw, [&rig, delivered](dn::Message&&) {
+  rig.fabric->nic(1).bind(dn::Port::Raw, [&rig, delivered](dn::Message&&) {
     delivered->push_back(rig.engine.now().ps);
   });
   rig.engine.schedule_on(0, ds::TimePoint{0}, [&rig] {
@@ -319,23 +324,24 @@ TEST(BridgeFabric, DeliversAcrossPartitions) {
     msg.src = 0;
     msg.dst = 1;
     msg.size_bytes = 4096;
-    rig.bridge->send(std::move(msg), dn::Service::Bulk);
+    rig.fabric->send(std::move(msg), dn::Service::Bulk);
   });
   rig.engine.run();
 
+  // rx is free, so the first message lands at tx end + latency.
   ASSERT_EQ(delivered->size(), 1u);
   const auto expected =
-      (rig.bridge->serialisation(4096) + rig.bridge->params().latency).ps;
+      (rig.fabric->serialisation(4096) + rig.fabric->params().latency).ps;
   EXPECT_EQ((*delivered)[0], expected);
-  EXPECT_EQ(rig.bridge->stats().messages, 1);
-  EXPECT_EQ(rig.bridge->stats().bytes, 4096);
+  EXPECT_EQ(rig.fabric->stats().messages, 1);
+  EXPECT_EQ(rig.fabric->stats().bytes, 4096);
 }
 
-TEST(BridgeFabric, LookaheadIsPositiveAndMatchesLatency) {
+TEST(CrossbarIslands, LookaheadIsPositiveAndMatchesLatency) {
   ds::Engine engine;
-  dn::BridgeFabric bridge(engine, "b", dn::BridgeParams{});
-  EXPECT_GT(bridge.lookahead().ps, 0);
-  EXPECT_EQ(bridge.lookahead().ps, bridge.params().latency.ps);
+  dn::CrossbarFabric fabric(engine, "ib", dn::CrossbarParams{});
+  EXPECT_GT(fabric.lookahead().ps, 0);
+  EXPECT_EQ(fabric.lookahead().ps, fabric.params().latency.ps);
 }
 
 /// Runs a 4-island all-to-neighbour exchange and returns its fingerprint
@@ -348,17 +354,17 @@ std::string run_island_exchange(std::uint32_t workers) {
   auto received = std::make_shared<std::array<int, 4>>();
   constexpr int kRounds = 8;
   for (std::uint32_t n = 0; n < 4; ++n) {
-    rig.bridge->nic(n).bind(
+    rig.fabric->nic(n).bind(
         dn::Port::Raw, [&rig, received, n](dn::Message&& msg) {
           (*received)[n] += 1;
           // Bounce smaller replies until the budget runs out; replies run on
-          // the receiving island's partition and re-enter the bridge there.
+          // the receiving island's partition and re-enter the fabric there.
           if (msg.size_bytes <= 256) return;
           dn::Message reply;
           reply.src = n;
           reply.dst = msg.src;
           reply.size_bytes = msg.size_bytes / 2;
-          rig.bridge->send(std::move(reply), dn::Service::Bulk);
+          rig.fabric->send(std::move(reply), dn::Service::Bulk);
         });
   }
   for (std::uint32_t n = 0; n < 4; ++n) {
@@ -368,7 +374,7 @@ std::string run_island_exchange(std::uint32_t workers) {
         msg.src = n;
         msg.dst = (n + 1 + static_cast<std::uint32_t>(r) % 3) % 4;
         msg.size_bytes = 1024 << (r % 3);
-        rig.bridge->send(std::move(msg), dn::Service::Bulk);
+        rig.fabric->send(std::move(msg), dn::Service::Bulk);
       });
     }
   }
@@ -378,7 +384,7 @@ std::string run_island_exchange(std::uint32_t workers) {
   fp += "|" + rig.engine.metrics().to_json();
   fp += "|" + std::to_string(rig.engine.now().ps);
   fp += "|" + std::to_string(rig.engine.events_executed());
-  const dn::FabricStats stats = rig.bridge->stats();
+  const dn::FabricStats stats = rig.fabric->stats();
   fp += "|" + std::to_string(stats.messages) + "," +
         std::to_string(stats.bytes) + "," +
         std::to_string(stats.delivery_ps_sum) + "," +
@@ -391,7 +397,7 @@ std::string run_island_exchange(std::uint32_t workers) {
 // outcome are byte-identical for every worker count.
 TEST(ParallelDeterminism, IslandExchangeIdenticalAcrossWorkerCounts) {
   const std::string baseline = run_island_exchange(1);
-  EXPECT_NE(baseline.find("cb-bridge"), std::string::npos);
+  EXPECT_NE(baseline.find("islands"), std::string::npos);
   for (const std::uint32_t workers : {2u, 4u, 8u}) {
     EXPECT_EQ(run_island_exchange(workers), baseline)
         << "workers=" << workers;

@@ -291,24 +291,45 @@ TEST(ServiceRejects, DeterministicAndLeakFree) {
   dsv::ServiceConfig cfg;
   cfg.workers = 1;
   dsv::Service service(cfg);
-  const std::vector<std::pair<std::string, std::string>> cases = {
-      {R"({"workload":"warp"})", "bad_workload"},
-      {R"({"booster":0})", "bad_topology"},
-      {R"({"procs":9})", "bad_spec"},
-      {R"({"partitions":99})", "bad_topology"},
-      {R"({"speculation":8})", "bad_spec"},
-      {R"({"boster":4})", "bad_spec"},
-      {R"({"partitions":2,"faults":{"drop_probability":0.5}})",
-       "faults_with_partitions"},
-      {R"({"workload":"spmv","booster":1000000000})", "too_large"},
-      {R"({"workload":)", "bad_json"},
-      {R"(]])", "bad_json"},
+  struct Case {
+    std::string text, code, field;
   };
-  for (const auto& [text, code] : cases) {
+  const std::vector<Case> cases = {
+      {R"({"workload":"warp"})", "bad_workload", "workload"},
+      {R"({"booster":0})", "bad_topology", "booster"},
+      {R"({"procs":9})", "bad_spec", "procs"},
+      {R"({"partitions":99})", "bad_topology", "partitions"},
+      {R"({"speculation":8})", "bad_spec", "speculation"},
+      {R"({"boster":4})", "bad_spec", "boster"},
+      {R"({"partitions":2,"faults":{"drop_probability":0.5}})",
+       "faults_with_partitions", "partitions"},
+      {R"({"workload":"spmv","booster":1000000000})", "too_large", "booster"},
+      // Integers outside the int range are never truncated into range:
+      // 4294967304 once ran (and was cached) as booster 8.
+      {R"({"workload":"spmv","booster":4294967304,"procs":2,"steps":1})",
+       "too_large", "booster"},
+      {R"({"procs":-4294967295})", "bad_spec", "procs"},
+      {R"({"faults":{"gateways":[{"at_us":0,"gateway":4294967296}]}})",
+       "too_large", "faults.gateways"},
+      {R"({"faults":{"links":[{"at_us":0,"a":0,"b":-4294967295}]}})",
+       "bad_spec", "faults.links"},
+      // Past the engine clock: microseconds to picoseconds would overflow.
+      {R"({"faults":{"links":[{"at_us":9223372036854775807,"a":0,"b":1}]}})",
+       "too_large", "faults.links"},
+      // A non-boolean `up` once meant false: a kill.
+      {R"({"faults":{"gateways":[{"at_us":0,"gateway":0,"up":1}]}})",
+       "bad_spec", "faults.gateways"},
+      {R"({"faults":{"links":[{"at_us":0,"a":0,"b":1,"up":"yes"}]}})",
+       "bad_spec", "faults.links"},
+      {R"({"workload":)", "bad_json", ""},
+      {R"(]])", "bad_json", ""},
+  };
+  for (const auto& [text, code, field] : cases) {
     const dsv::JobResult first = service.run(text);
     const dsv::JobResult second = service.run(text);
     EXPECT_EQ(first.status, "rejected") << text;
     EXPECT_EQ(first.reject.code, code) << text;
+    EXPECT_EQ(first.reject.field, field) << text;
     // Deterministic: identical reject, byte for byte.
     EXPECT_EQ(first.reject.to_json().dump(), second.reject.to_json().dump());
     // Leak-free: no report, no metrics, no key, no partial result.
@@ -418,6 +439,12 @@ TEST(ServiceChaos, GatewayKillFailsCleanlyWorkerSurvives) {
   const dsv::JobResult failed = service.run(spec_text(chaos));
   EXPECT_EQ(failed.status, "failed");
   EXPECT_EQ(solo_chaos.fingerprint(), failed.session.fingerprint());
+
+  // A failed simulation is deterministic, so its repeat is a cache hit.
+  const dsv::JobResult repeat = service.run(spec_text(chaos));
+  EXPECT_EQ(repeat.status, "failed");
+  EXPECT_TRUE(repeat.cache_hit);
+  EXPECT_EQ(repeat.session.fingerprint(), failed.session.fingerprint());
 
   // Same worker, next job: unaffected.
   const dsv::JobSpec clean = small_spec("stencil", 31);

@@ -621,21 +621,6 @@ TEST(Engine, LargeCaptureCallbacksWork) {
   EXPECT_EQ(sum, 12 * 7 + 1000);
 }
 
-TEST(Engine, FiberStackSizeKnob) {
-  ds::Engine eng;
-  eng.set_fiber_stack_size(64 * 1024);
-  EXPECT_EQ(eng.fiber_stack_size(), 64u * 1024u);
-  bool done = false;
-  eng.spawn("p", [&](ds::Context& ctx) {
-    ctx.delay(ds::nanoseconds(1));
-    done = true;
-  });
-  // The knob is spawn-time only: changing it with live processes is misuse.
-  EXPECT_THROW(eng.set_fiber_stack_size(128 * 1024), deep::util::UsageError);
-  eng.run();
-  EXPECT_TRUE(done);
-}
-
 TEST(Process, StateTransitionsVisible) {
   ds::Engine eng;
   auto& p = eng.spawn("p", [](ds::Context& ctx) { ctx.delay(ds::nanoseconds(5)); });

@@ -2,7 +2,8 @@
 //
 // Turns its flags into a svc::JobSpec, runs the spec's bundled workload
 // through the same svc::launch_workload() a service job uses, and prints
-// the system report (optionally a Perfetto trace).
+// the system report (optionally a Perfetto trace).  The line-delimited
+// JSON service is deepsimd (docs/service.md).
 //
 //   deepsim [options]
 //     --cluster N          cluster nodes                  (default 4)
@@ -42,14 +43,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
-#include <limits>
 #include <string>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "sim/trace.hpp"
-#include "svc/serve.hpp"
 #include "svc/session.hpp"
 #include "sys/report.hpp"
 #include "sys/system.hpp"
@@ -78,7 +76,6 @@ struct Options {
   bool report = false;
   std::string metrics_file;
   long metrics_interval_us = 0;  // 0 = final snapshot only
-  bool serve = false;            // line-delimited JSON service loop
 };
 
 void usage() {
@@ -90,11 +87,10 @@ void usage() {
       "  --workload stencil|cholesky|nbody|spmv   --procs N   --steps N\n"
       "  --static-partitions   --workers N|auto   --partitions N|auto\n"
       "  --wallclock-metrics   --trace FILE   --report\n"
-      "  --metrics-out FILE (.json|.csv)   --metrics-interval US\n"
-      "  --serve (line-delimited JSON service on stdin/stdout; deepsimd is\n"
-      "           the full daemon)   --help\n"
+      "  --metrics-out FILE (.json|.csv)   --metrics-interval US   --help\n"
       "spec flags are checked like a service spec; a reject (bad_workload,\n"
-      "bad_topology, bad_spec, too_large) exits 2");
+      "bad_topology, bad_spec, too_large) exits 2\n"
+      "the JSON line service is deepsimd");
 }
 
 /// `--workers`/`--partitions`: an integer, or `auto` to resolve later.
@@ -111,9 +107,7 @@ bool parse(int argc, char** argv, Options& opt) {
     const std::string arg = argv[i];
     bool ok = true;
     if (arg == "--help") return false;
-    if (arg == "--serve") {
-      opt.serve = true;
-    } else if (arg == "--report") {
+    if (arg == "--report") {
       opt.report = true;
     } else if (arg == "--static-partitions") {
       opt.static_partitions = true;
@@ -194,18 +188,6 @@ int main(int argc, char** argv) {
   if (!parse(argc, argv, opt)) {
     usage();
     return 2;
-  }
-  if (opt.serve) {
-    // deepsimd's protocol loop on one worker: jobs run one at a time in
-    // submission order, so a repeated spec hits the cache its first run
-    // filled.  The queue is unbounded because a scripted pipe of specs
-    // expects every job to run, never a queue_full shed.
-    dsv::ServiceConfig cfg;
-    cfg.workers = 1;
-    cfg.queue_capacity = std::numeric_limits<std::size_t>::max();
-    dsv::Service service(cfg);
-    dsv::serve_stream(service, std::cin, std::cout);
-    return 0;
   }
   if (!resolve(opt)) return 2;
 

@@ -10,7 +10,9 @@
 // By default the daemon serves stdin/stdout — the transport composes with
 // anything that can pipe (CI, socat, an inetd-style supervisor).  With
 // --socket PATH it listens on a Unix stream socket instead and serves one
-// connection at a time with the same protocol.
+// connection at a time.  Both run the same loop, svc::serve, over file
+// descriptors: a socket client gets each response as soon as it is ready,
+// with its write side still open.
 //
 //   deepsimd [options]
 //     --workers N        in-process session workers        (default 2)
@@ -24,18 +26,20 @@
 //
 // A flag whose value is missing or not an integer is a usage error: exit 2.
 //
-// Requests pipeline: every line is submitted as soon as it is read, jobs
-// run concurrently on the worker pool, and a writer thread emits results
-// in submission order — so a hot cache answers a burst at queue speed.
+// Requests pipeline: lines are submitted as they are read, up to the queue
+// capacity of unanswered runs (then the loop stops reading until one is
+// answered), jobs run concurrently on the worker pool, and run responses
+// come back in submission order — so a hot cache answers a burst at queue
+// speed.  A request line longer than svc::kMaxLineBytes is a too_large
+// reject.
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <iostream>
-#include <sstream>
 #include <string>
 
 #include "flags.hpp"
@@ -109,27 +113,7 @@ int serve_socket(dsv::Service& service, const std::string& path) {
     const int fd = accept(listener, nullptr, nullptr);
     if (fd < 0) break;
     // One conversation at a time; concurrency lives in the worker pool.
-    // A buffered bidirectional stream over the fd keeps the protocol code
-    // identical to the stdin/stdout path.
-    std::string input;
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = read(fd, buf, sizeof buf);
-      if (n <= 0) break;
-      input.append(buf, static_cast<std::size_t>(n));
-      // A half-duplex turn ends when the client shuts down its write side;
-      // simple clients send everything then shutdown(SHUT_WR).
-    }
-    std::istringstream in(input);
-    std::ostringstream out;
-    const bool keep_going = serve_stream(service, in, out);
-    const std::string& reply = out.str();
-    std::size_t off = 0;
-    while (off < reply.size()) {
-      const ssize_t n = write(fd, reply.data() + off, reply.size() - off);
-      if (n <= 0) break;
-      off += static_cast<std::size_t>(n);
-    }
+    const bool keep_going = dsv::serve(service, fd, fd);
     close(fd);
     if (!keep_going) break;
   }
@@ -146,9 +130,12 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
+  // A client that hangs up ends its conversation (a failed write), not the
+  // daemon.
+  std::signal(SIGPIPE, SIG_IGN);
   dsv::Service service(opt.service);
   if (!opt.socket_path.empty())
     return serve_socket(service, opt.socket_path);
-  serve_stream(service, std::cin, std::cout);
+  dsv::serve(service, STDIN_FILENO, STDOUT_FILENO);
   return 0;
 }
