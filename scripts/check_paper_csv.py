@@ -3,7 +3,11 @@
 
 Runs a paper bench with --csv.  Fails when the bench fails (a SHAPE-CHECK
 did not hold) or prints a line that its checked-in CSV lacks: a change that
-moves a figure regenerates that CSV with it.
+moves a figure regenerates that CSV with it, from the build directory:
+
+    build/bench/<bench> --csv > results/<bench>.csv
+
+`ctest -L paper` runs this check for every E1-E9 and A1/A2 bench.
 """
 
 import subprocess

@@ -53,11 +53,6 @@ class Node {
     }
   }
 
-  /// Convenience: run on all cores of the node.
-  void compute_all_cores(sim::Context& ctx, const KernelCost& cost) {
-    compute(ctx, cost, spec_.cores);
-  }
-
  private:
   NodeId id_;
   std::string name_;

@@ -6,19 +6,29 @@
 namespace deep::mpi {
 
 Mpi::Mpi(MpiSystem& system, sim::Context& ctx, hw::Node& node,
-         Endpoint& endpoint, Comm world, std::optional<Intercomm> parent)
+         const MpiSystem::World& world, Rank rank,
+         std::optional<Intercomm> parent)
     : system_(&system),
       ctx_(&ctx),
       node_(&node),
-      endpoint_(&endpoint),
-      world_(std::move(world)),
       parent_(std::move(parent)) {
-  endpoint_ref_ = system.endpoint_ptr(endpoint.id());
+  DEEP_EXPECT(rank >= 0 && rank < world.group->size(),
+              "Mpi: rank outside its world");
+  auto state = std::make_shared<CommState>();
+  state->ctx_p2p = world.ctx_p2p;
+  state->ctx_coll = world.ctx_coll;
+  state->group = world.group;
+  state->rank = rank;
+  world_ = Comm(std::move(state));
+  const EpId ep = world.group->members[static_cast<std::size_t>(rank)].ep;
+  const std::shared_ptr<Endpoint> endpoint = system.endpoint_ptr(ep);
+  endpoint_ = endpoint.get();
+  endpoint_ref_ = endpoint;
   endpoint_->set_owner(&ctx.process());
   // Per-rank wait-time distribution, keyed by endpoint id (stable across
   // replays: endpoint ids are allocated in deterministic creation order).
   m_wait_ns_ = system.engine().metrics().histogram(
-      "mpi.wait_ns.ep" + std::to_string(endpoint.id()));
+      "mpi.wait_ns.ep" + std::to_string(ep));
 }
 
 Mpi::~Mpi() {

@@ -33,8 +33,14 @@ namespace deep::mpi {
 
 class Mpi {
  public:
-  Mpi(MpiSystem& system, sim::Context& ctx, hw::Node& node, Endpoint& endpoint,
-      Comm world, std::optional<Intercomm> parent);
+  /// Rank `rank` of `world`, running in `ctx` on `node`: its MPI_COMM_WORLD
+  /// is a fresh communicator over the world's group and contexts, and its
+  /// endpoint is the one create_world made for that rank.  `parent` is the
+  /// inter-communicator to the spawning processes (empty for an initial
+  /// world).
+  Mpi(MpiSystem& system, sim::Context& ctx, hw::Node& node,
+      const MpiSystem::World& world, Rank rank,
+      std::optional<Intercomm> parent = {});
 
   Mpi(const Mpi&) = delete;
   Mpi& operator=(const Mpi&) = delete;

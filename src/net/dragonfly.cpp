@@ -117,17 +117,6 @@ DragonflyFabric::Path DragonflyFabric::valiant_path(int src_router,
   return path;
 }
 
-int DragonflyFabric::valiant_group(int src_group, int dst_group) const {
-  // Deterministic rotation: a pure function of the group pair, so the same
-  // (src, dst) always detours through the same group.
-  for (int i = 0; i < params_.groups; ++i) {
-    const int via = (src_group + dst_group + i) % params_.groups;
-    if (via != src_group && via != dst_group) return via;
-  }
-  DEEP_ASSERT(false, "DragonflyFabric: no intermediate group (groups < 3)");
-  return -1;
-}
-
 bool DragonflyFabric::path_alive(const Path& path) const {
   for (int i = 0; i < path.nhops; ++i) {
     const Path::Hop& hop = path.hops[static_cast<std::size_t>(i)];
@@ -191,29 +180,26 @@ DragonflyFabric::Path DragonflyFabric::choose_path(int src_router,
   const int a = params_.routers_per_group;
   const int gs = src_router / a, gd = dst_router / a;
   Path path = minimal_path(src_router, dst_router);
-  if (gs != gd && !partitioned()) {
-    if (params_.routing == DragonflyRouting::Valiant) {
-      path = valiant_path(src_router, dst_router, valiant_group(gs, gd));
-    } else if (params_.routing == DragonflyRouting::Adaptive) {
-      // UGAL: estimated queueing on the minimal global link vs the best
-      // detour's two global links plus the extra cable.  Every input is
-      // simulated link state, so the choice replays bit-identically.
-      const sim::Duration direct = queue_estimate(global_link(gs, gd));
-      sim::Duration best_cost = sim::kUnconstrainedLookahead;
-      int best_via = -1;
-      for (int via = 0; via < params_.groups; ++via) {
-        if (via == gs || via == gd) continue;
-        const sim::Duration cost = queue_estimate(global_link(gs, via)) +
-                                   queue_estimate(global_link(via, gd)) +
-                                   params_.global_latency;
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_via = via;
-        }
+  if (gs != gd && !partitioned() &&
+      params_.routing == DragonflyRouting::Adaptive) {
+    // UGAL: estimated queueing on the minimal global link vs the best
+    // detour's two global links plus the extra cable.  Every input is
+    // simulated link state, so the choice replays bit-identically.
+    const sim::Duration direct = queue_estimate(global_link(gs, gd));
+    sim::Duration best_cost = sim::kUnconstrainedLookahead;
+    int best_via = -1;
+    for (int via = 0; via < params_.groups; ++via) {
+      if (via == gs || via == gd) continue;
+      const sim::Duration cost = queue_estimate(global_link(gs, via)) +
+                                 queue_estimate(global_link(via, gd)) +
+                                 params_.global_latency;
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_via = via;
       }
-      if (best_via >= 0 && best_cost + params_.adaptive_bias < direct)
-        path = valiant_path(src_router, dst_router, best_via);
     }
+    if (best_via >= 0 && best_cost + params_.adaptive_bias < direct)
+      path = valiant_path(src_router, dst_router, best_via);
   }
   // Fault fallback, in every routing mode: when the chosen path crosses a
   // dead link, take the canonical alive candidate instead.  faulted() has

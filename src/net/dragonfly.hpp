@@ -4,15 +4,14 @@
 // `routers_per_group` routers, every group pair joined by one bidirectional
 // global (optical) link, `nodes_per_router` nodes per router.
 //
-// Routing offers the three classic dragonfly policies:
+// Routing offers two dragonfly policies:
 //   * Minimal  — the direct l-g-l path (at most one local hop to the global
 //     link's host router, the global hop, one local hop to the destination
 //     router);
-//   * Valiant  — via a deterministic intermediate group (two global hops),
-//     spreading adversarial traffic over the global channels;
-//   * Adaptive — UGAL-style: per message, take the Valiant detour when the
-//     minimal path's global link is busier than the detour's two global
-//     links by more than `adaptive_bias`.  The decision keys ONLY on the
+//   * Adaptive — UGAL-style: per message, take a Valiant detour via an
+//     intermediate group (two global hops) when the minimal path's global
+//     link is busier than the detour's two global links by more than
+//     `adaptive_bias`.  The decision keys ONLY on the
 //     simulated link-busy table, never on host state or RNG, so replays are
 //     bit-identical at any worker count.
 //
@@ -47,7 +46,6 @@ namespace deep::net {
 /// Path-selection policy (see file comment).
 enum class DragonflyRouting {
   Minimal,
-  Valiant,
   Adaptive,
 };
 
@@ -181,8 +179,6 @@ class DragonflyFabric final : public WormholeFabric {
   Path minimal_path(int src_router, int dst_router) const;
   /// The l-g-l-g-l detour via intermediate group `via`.
   Path valiant_path(int src_router, int dst_router, int via) const;
-  /// Deterministic default intermediate group for (src, dst) groups.
-  int valiant_group(int src_group, int dst_group) const;
   /// Every hop's link admin-up (named by endpoint-router representatives).
   bool path_alive(const Path& path) const;
   /// Canonical alive-candidate scan; false only when every candidate is cut.

@@ -229,13 +229,6 @@ void TorusFabric::refresh_partitions() const {
     }
 }
 
-std::uint32_t TorusFabric::coord_partition(TorusCoord c) const {
-  DEEP_EXPECT(c.x >= 0 && c.x < params_.dims[0] && c.y >= 0 &&
-                  c.y < params_.dims[1] && c.z >= 0 && c.z < params_.dims[2],
-              "TorusFabric::coord_partition: coordinate outside torus");
-  return unit_owner(static_cast<std::size_t>(linear(c)));
-}
-
 sim::Duration TorusFabric::tail_penalty(std::int64_t bytes, int nlinks) {
   if (params_.packet_error_rate <= 0.0 || bytes <= 0 || nlinks == 0) return {};
   LaneState& lane = lane_state();

@@ -113,11 +113,6 @@ class TorusFabric final : public WormholeFabric {
   std::vector<std::pair<hw::NodeId, hw::NodeId>> topology_edges()
       const override;
 
-  /// The partition owning a coordinate: its attached node's partition, or
-  /// the nearest attached coordinate's (ties to the lowest linear index).
-  /// Exposed for the auto-partitioning tests.
-  std::uint32_t coord_partition(TorusCoord c) const;
-
   sim::Duration serialisation(std::int64_t bytes) const {
     return sim::from_seconds(static_cast<double>(bytes) /
                              params_.bandwidth_bytes_per_sec);

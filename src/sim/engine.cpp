@@ -25,7 +25,7 @@ Process::Process(Engine& engine, std::uint64_t id, std::uint32_t partition,
 Process::~Process() = default;
 
 void Process::start_fiber() {
-  fiber_.create(engine_.acquire_stack(), &Process::fiber_entry, this);
+  fiber_.create(FiberStackPool::acquire(), &Process::fiber_entry, this);
 }
 
 void Process::fiber_entry(void* arg) {
@@ -56,7 +56,7 @@ void Process::run_slice() {
   engine_.m_fiber_switches_.add(1);
   Fiber::switch_to(engine_.cur_sched(), fiber_);
   if (state_ == State::Finished && fiber_.created())
-    engine_.release_stack(fiber_.take_stack());
+    FiberStackPool::release(fiber_.take_stack());
   if (error_) {
     auto err = error_;
     error_ = nullptr;
@@ -246,16 +246,6 @@ Duration Engine::lookahead(std::uint32_t src, std::uint32_t dst) const {
     if (v >= 0) return Duration{v};
   }
   return lookahead_.ps > 0 ? lookahead_ : Duration{0};
-}
-
-FiberStack Engine::acquire_stack() {
-  std::lock_guard<std::mutex> lock(stack_mu_);
-  return stack_pool_.acquire();
-}
-
-void Engine::release_stack(FiberStack stack) {
-  std::lock_guard<std::mutex> lock(stack_mu_);
-  stack_pool_.release(stack);
 }
 
 std::size_t Engine::events_executed() const {

@@ -13,7 +13,7 @@
 // are practical.
 //
 // Fiber stacks are 256 KiB (pages committed lazily) and are recycled
-// through a free-list pool when processes finish.
+// through the process-wide FiberStackPool when processes finish.
 //
 // Each event queue is a 4-ary implicit heap of small (time, key, slot)
 // entries over a free-list slot pool (sim/event.hpp).  Callbacks are stored
@@ -444,9 +444,6 @@ class Engine {
   void kill_all_unfinished();
   std::vector<Process*> processes_by_id() const;
 
-  FiberStack acquire_stack();
-  void release_stack(FiberStack stack);
-
   // Windowed parallel execution (sim/parallel.cpp).  Returns true if events
   // remain past `limit` (bounded mode only).
   bool run_windowed(TimePoint limit, bool bounded);
@@ -454,10 +451,6 @@ class Engine {
 
   // Declared first so it outlives everything that holds handles into it.
   obs::Registry metrics_;
-  // Declared before part0_/extra_ so it is destroyed after them: finishing
-  // fibers hand their stacks back to the pool during engine teardown.
-  FiberStackPool stack_pool_;
-  std::mutex stack_mu_;  // spawn/finish may race across partitions
   std::mutex spawn_mu_;  // guards processes_ growth during parallel runs
   Partition part0_;
   std::vector<std::unique_ptr<Partition>> extra_;

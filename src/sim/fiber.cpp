@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -23,17 +24,17 @@ std::size_t page_size() {
   return page;
 }
 
-// Stacks left by destroyed pools.  Leaked on purpose: an engine destroyed
-// during static destruction can still return its stacks, and the list
-// stays reachable for leak checkers.
-struct StackCache {
+// The free stacks of FiberStackPool.  Leaked on purpose: an engine
+// destroyed during static destruction can still return its stacks, and the
+// list stays reachable for leak checkers.
+struct FreeStacks {
   std::mutex mu;
   std::vector<FiberStack> stacks;
 };
 
-StackCache& stack_cache() {
-  static auto* cache = new StackCache;
-  return *cache;
+FreeStacks& free_stacks() {
+  static auto* list = new FreeStacks;
+  return *list;
 }
 
 std::atomic<std::size_t> g_stacks_mapped{0};
@@ -75,28 +76,18 @@ struct FiberAsan {
 // FiberStackPool
 // ---------------------------------------------------------------------------
 
-FiberStackPool::~FiberStackPool() {
-  if (free_.empty()) return;
-  StackCache& cache = stack_cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.stacks.insert(cache.stacks.end(), free_.begin(), free_.end());
-}
-
 std::size_t FiberStackPool::mapped_total() {
   return g_stacks_mapped.load(std::memory_order_relaxed);
 }
 
 FiberStack FiberStackPool::acquire() {
   FiberStack s;
-  if (!free_.empty()) {
-    s = free_.back();
-    free_.pop_back();
-  } else {
-    StackCache& cache = stack_cache();
-    std::lock_guard<std::mutex> lock(cache.mu);
-    if (!cache.stacks.empty()) {
-      s = cache.stacks.back();
-      cache.stacks.pop_back();
+  {
+    FreeStacks& list = free_stacks();
+    std::lock_guard<std::mutex> lock(list.mu);
+    if (!list.stacks.empty()) {
+      s = list.stacks.back();
+      list.stacks.pop_back();
     }
   }
   if (s) {
@@ -118,7 +109,11 @@ FiberStack FiberStackPool::acquire() {
   return FiberStack{static_cast<char*>(mem) + page, kStackSize};
 }
 
-void FiberStackPool::release(FiberStack stack) { free_.push_back(stack); }
+void FiberStackPool::release(FiberStack stack) {
+  FreeStacks& list = free_stacks();
+  std::lock_guard<std::mutex> lock(list.mu);
+  list.stacks.push_back(stack);
+}
 
 // ---------------------------------------------------------------------------
 // Fiber

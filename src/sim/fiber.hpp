@@ -7,14 +7,14 @@
 // scheduler itself; a switch costs a few hundred nanoseconds instead of the
 // two kernel context switches of the previous thread/condvar hand-shake.
 //
-// Stacks are owned by a FiberStackPool: mmap'd blocks with a PROT_NONE guard
-// page at the low end, recycled on a free list when a fiber terminates so
-// spawn-heavy simulations (10k+ processes) do not churn the allocator.  A
-// destroyed pool hands its stacks to a process-wide cache that later pools
-// draw from before mapping, so back-to-back simulations in one process pay
-// mmap, mprotect and first-touch page faults once.  Every stack has the
-// same size, so any cached stack fits any pool.  The cache never unmaps: it
-// holds the high-water mark of stacks live at once.
+// Stacks come from FiberStackPool, one process-wide free list behind one
+// mutex: mmap'd blocks with a PROT_NONE guard page at the low end, handed
+// back to the list when a fiber terminates.  Every engine in the process
+// draws from the same list, so spawn-heavy simulations (10k+ processes) and
+// back-to-back simulations in one process pay mmap, mprotect and
+// first-touch page faults once per stack.  Every stack has the same size,
+// so any free stack fits any fiber.  The list never unmaps: it holds the
+// high-water mark of stacks live at once.
 //
 // AddressSanitizer support: every switch is annotated with
 // __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber so ASan
@@ -25,8 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <ucontext.h>
-
-#include <vector>
 
 namespace deep::sim {
 
@@ -48,8 +46,8 @@ struct FiberStack {
   explicit operator bool() const { return base != nullptr; }
 };
 
-/// Allocates and recycles fiber stacks of kStackSize bytes.  Not thread-safe
-/// (the engine serialises its calls); the process-wide cache behind it is.
+/// The process-wide pool of fiber stacks of kStackSize bytes.  Thread-safe:
+/// engines on any thread acquire and release through its one mutex.
 class FiberStackPool {
  public:
   /// Stack size of every process fiber, a whole number of pages.  Pages are
@@ -57,22 +55,15 @@ class FiberStackPool {
   /// fiber actually recurses.
   static constexpr std::size_t kStackSize = 256 * 1024;
 
-  FiberStackPool() = default;
-  ~FiberStackPool();
-  FiberStackPool(const FiberStackPool&) = delete;
-  FiberStackPool& operator=(const FiberStackPool&) = delete;
+  FiberStackPool() = delete;
 
-  /// Pops a recycled stack (this pool's, else one from the process-wide
-  /// cache) or maps a fresh one (guard page included).
-  FiberStack acquire();
-  /// Returns a stack to the free list for reuse by a future fiber.
-  void release(FiberStack stack);
+  /// Pops a free stack or maps a fresh one (guard page included).
+  static FiberStack acquire();
+  /// Returns a stack to the free list for reuse by any later fiber.
+  static void release(FiberStack stack);
 
-  /// Stacks ever mapped by any pool in this process.
+  /// Stacks ever mapped in this process.
   static std::size_t mapped_total();
-
- private:
-  std::vector<FiberStack> free_;
 };
 
 /// One suspended (or running) flow of control.  A default-constructed Fiber

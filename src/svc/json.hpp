@@ -55,7 +55,6 @@ class Json {
   }
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::Null; }
   bool is_bool() const { return type_ == Type::Bool; }
   bool is_int() const { return type_ == Type::Int; }
   bool is_number() const {

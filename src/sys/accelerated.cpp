@@ -46,23 +46,15 @@ JobHandle AcceleratedCluster::launch(AccelProgram program, int nprocs,
 
   for (int r = 0; r < nprocs; ++r) {
     const hw::NodeId node_id = placement[static_cast<std::size_t>(r)];
-    const mpi::EpId ep = world.group->members[static_cast<std::size_t>(r)].ep;
     engine_.spawn(
         "accel." + std::to_string(r),
-        [this, program, args, node_id, ep, world, r,
+        [this, program, args, node_id, world, r,
          job = handle.state_](sim::Context& ctx) {
-          auto comm_state = std::make_shared<mpi::CommState>();
-          comm_state->ctx_p2p = world.ctx_p2p;
-          comm_state->ctx_coll = world.ctx_coll;
-          comm_state->group = world.group;
-          comm_state->rank = r;
           mpi::Mpi mpi(*mpi_, ctx, *hosts_[static_cast<std::size_t>(node_id)],
-                       mpi_->endpoint(ep), mpi::Comm(std::move(comm_state)),
-                       std::nullopt);
+                       world, r);
           AccelProgramEnv env{mpi, args, *gpus_[static_cast<std::size_t>(node_id)]};
           program(env);
-          job->remaining -= 1;
-          if (job->remaining == 0) job->finished_at = ctx.now();
+          job->rank_done(ctx.now());
         });
   }
   return handle;

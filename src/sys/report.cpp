@@ -1,6 +1,5 @@
 #include "sys/report.hpp"
 
-#include <ostream>
 #include <sstream>
 
 #include "util/csv.hpp"
@@ -110,14 +109,6 @@ std::string format_report(AcceleratedCluster& system) {
   os << "energy: " << energy.total_joules() << " J, "
      << energy.gflops_per_watt() << " GFlop/W\n";
   return os.str();
-}
-
-void print_report(std::ostream& os, DeepSystem& system) {
-  os << format_report(system);
-}
-
-void print_report(std::ostream& os, AcceleratedCluster& system) {
-  os << format_report(system);
 }
 
 }  // namespace deep::sys

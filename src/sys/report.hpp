@@ -3,7 +3,6 @@
 // rendered as aligned tables.  Examples print it after a run; operators of a
 // long simulation can snapshot it at any time.
 
-#include <iosfwd>
 #include <string>
 
 #include "sys/accelerated.hpp"
@@ -16,8 +15,5 @@ std::string format_report(DeepSystem& system);
 
 /// Renders the status of an accelerated-cluster baseline system.
 std::string format_report(AcceleratedCluster& system);
-
-void print_report(std::ostream& os, DeepSystem& system);
-void print_report(std::ostream& os, AcceleratedCluster& system);
 
 }  // namespace deep::sys

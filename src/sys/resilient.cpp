@@ -54,16 +54,8 @@ void ResilientJob::launch_attempt(int attempt) {
     const std::string name =
         "a" + std::to_string(attempt) + ".rank" + std::to_string(r);
     procs_.push_back(&engine_->spawn(name, [this, world, r](sim::Context& ctx) {
-      auto state = std::make_shared<mpi::CommState>();
-      state->ctx_p2p = world.ctx_p2p;
-      state->ctx_coll = world.ctx_coll;
-      state->group = world.group;
-      state->rank = r;
-      mpi::Mpi mpi(*mpi_, ctx,
-                   *rank_nodes_[static_cast<std::size_t>(r)],
-                   mpi_->endpoint(
-                       world.group->members[static_cast<std::size_t>(r)].ep),
-                   mpi::Comm(std::move(state)), std::nullopt);
+      mpi::Mpi mpi(*mpi_, ctx, *rank_nodes_[static_cast<std::size_t>(r)],
+                   world, r);
       std::optional<ckpt::Checkpointer> ck;
       if (manager_ != nullptr) ck.emplace(*manager_, r);
       try {

@@ -302,19 +302,13 @@ std::uint32_t DeepSystem::node_partition_of(hw::NodeId id) const {
 
 void DeepSystem::start_rank_process(
     const std::string& program_name, std::vector<std::string> args,
-    hw::NodeId node_id, mpi::EpId ep, const mpi::MpiSystem::World& world,
-    int rank, sim::Duration start_delay,
+    const mpi::MpiSystem::World& world, int rank, sim::Duration start_delay,
     std::shared_ptr<JobHandle::State> job,
     std::shared_ptr<mpi::IntercommState> parent_proto, mpi::EpAddr ready_to) {
   const Program& program = programs_.get(program_name);
-  auto body = [this, args = std::move(args), node_id, ep, world, rank, job,
+  const mpi::EpAddr self = world.group->members[static_cast<std::size_t>(rank)];
+  auto body = [this, args = std::move(args), self, world, rank, job,
                parent_proto, ready_to, &program](sim::Context& ctx) {
-    auto comm_state = std::make_shared<mpi::CommState>();
-    comm_state->ctx_p2p = world.ctx_p2p;
-    comm_state->ctx_coll = world.ctx_coll;
-    comm_state->group = world.group;
-    comm_state->rank = rank;
-
     std::optional<mpi::Intercomm> parent;
     if (parent_proto) {
       auto st = std::make_shared<mpi::IntercommState>(*parent_proto);
@@ -322,14 +316,13 @@ void DeepSystem::start_rank_process(
       parent = mpi::Intercomm(std::move(st));
     }
 
-    mpi::Mpi mpi(*mpi_, ctx, node(node_id), mpi_->endpoint(ep),
-                 mpi::Comm(std::move(comm_state)), std::move(parent));
+    mpi::Mpi mpi(*mpi_, ctx, node(self.node), world, rank, std::move(parent));
 
     if (parent_proto) {
       // Report readiness to the spawn root (MPI_Comm_spawn returns
       // once all children are up).
-      mpi_->endpoint(ep).start_send(ready_to, parent_proto->context, rank,
-                                    mpi::kReadyTag, {});
+      mpi_->endpoint(self.ep).start_send(ready_to, parent_proto->context, rank,
+                                         mpi::kReadyTag, {});
     }
 
     ProgramEnv env{mpi, args, this};
@@ -341,47 +334,29 @@ void DeepSystem::start_rank_process(
       // manager (on_done releases nodes) live.  schedule_on_after lands at
       // the partition's horizon when ctx.now() is below it — deterministic,
       // since horizons are a pure function of the simulation.
-      engine_.schedule_on_after(0, ctx.now(), [this, job] {
-        job->remaining -= 1;
-        if (job->remaining == 0) {
-          job->finished_at = engine_.now();
-          if (job->on_done) job->on_done();
-        }
-      });
+      engine_.schedule_on_after(0, ctx.now(),
+                                [this, job] { job->rank_done(engine_.now()); });
       return;
     }
-    job->remaining -= 1;
-    if (job->remaining == 0) {
-      job->finished_at = ctx.now();
-      if (job->on_done) job->on_done();
-    }
+    job->rank_done(ctx.now());
   };
 
-  const std::string proc_name = program_name + "." + std::to_string(rank);
-  if (engine_.partitions() == 1) {
-    engine_.schedule_in(start_delay, [this, proc_name, body = std::move(body)] {
-      engine_.spawn(proc_name, std::move(body));
-    });
-    return;
-  }
-  // Partitioned machine: land on the rank's home partition first (a process
-  // may only be spawned onto the partition executing it), then spawn there.
-  // Spawn delays (rm latency + tree start-up, hundreds of microseconds) dwarf
-  // the pair lookaheads, so the horizon clamp never moves a start in
-  // practice; when it would, the clamp is deterministic.
-  const std::uint32_t part = node_partition_of(node_id);
+  // Land on the rank's home partition first (a process may only be spawned
+  // onto the partition executing it), then spawn there.  On a serial engine
+  // both calls act on partition 0 with its one key stream.  Spawn delays
+  // (rm latency + tree start-up, hundreds of microseconds) dwarf the pair
+  // lookaheads, so the horizon clamp never moves a start in practice; when
+  // it would, the clamp is deterministic.
+  const std::uint32_t part = node_partition_of(self.node);
   engine_.schedule_on_after(
       part, engine_.now() + start_delay,
-      [this, part, proc_name, body = std::move(body)] {
+      [this, part, proc_name = program_name + "." + std::to_string(rank),
+       body = std::move(body)] {
         engine_.spawn_on(part, proc_name, std::move(body));
       });
 }
 
-JobHandle DeepSystem::launch(const std::string& name, int nprocs,
-                             std::vector<std::string> args) {
-  DEEP_EXPECT(nprocs >= 1, "launch: need at least one process");
-  DEEP_EXPECT(programs_.contains(name), "launch: program not registered");
-
+std::vector<hw::NodeId> DeepSystem::place_on_cluster(int nprocs) {
   std::vector<hw::NodeId> placement;
   placement.reserve(static_cast<std::size_t>(nprocs));
   for (int i = 0; i < nprocs; ++i) {
@@ -390,15 +365,22 @@ JobHandle DeepSystem::launch(const std::string& name, int nprocs,
                                               config_.cluster_nodes)]);
   }
   next_cluster_rr_ = (next_cluster_rr_ + nprocs) % config_.cluster_nodes;
+  return placement;
+}
 
-  const mpi::MpiSystem::World world = mpi_->create_world(placement);
+JobHandle DeepSystem::launch(const std::string& name, int nprocs,
+                             std::vector<std::string> args) {
+  DEEP_EXPECT(nprocs >= 1, "launch: need at least one process");
+  DEEP_EXPECT(programs_.contains(name), "launch: program not registered");
+
+  const mpi::MpiSystem::World world =
+      mpi_->create_world(place_on_cluster(nprocs));
   JobHandle handle;
   handle.state_->total = nprocs;
   handle.state_->remaining = nprocs;
   for (int r = 0; r < nprocs; ++r) {
-    start_rank_process(name, args, placement[static_cast<std::size_t>(r)],
-                       world.group->members[static_cast<std::size_t>(r)].ep,
-                       world, r, sim::Duration{0}, handle.state_, nullptr, {});
+    start_rank_process(name, args, world, r, sim::Duration{0}, handle.state_,
+                       nullptr, {});
   }
   return handle;
 }
@@ -411,13 +393,8 @@ ResilientJob& DeepSystem::launch_resilient(const std::string& name, int nprocs,
 
   std::vector<hw::Node*> rank_nodes;
   rank_nodes.reserve(static_cast<std::size_t>(nprocs));
-  for (int i = 0; i < nprocs; ++i) {
-    const hw::NodeId id =
-        cluster_ids_[static_cast<std::size_t>((next_cluster_rr_ + i) %
-                                              config_.cluster_nodes)];
-    rank_nodes.push_back(nodes_[static_cast<std::size_t>(id)].get());
-  }
-  next_cluster_rr_ = (next_cluster_rr_ + nprocs) % config_.cluster_nodes;
+  for (const hw::NodeId id : place_on_cluster(nprocs))
+    rank_nodes.push_back(&node(id));
 
   ResilientEntry entry;
   if (config_.ckpt.active()) {
@@ -504,10 +481,8 @@ mpi::SpawnResult DeepSystem::spawn_children(const mpi::SpawnRequest& request) {
     const sim::Duration delay = config_.rm_latency + config_.launch_base +
                                 config_.launch_per_level * levels +
                                 config_.launch_stagger * r;
-    start_rank_process(request.command, request.args,
-                       placement[static_cast<std::size_t>(r)],
-                       world.group->members[static_cast<std::size_t>(r)].ep,
-                       world, r, delay, handle.state_, parent_proto, ready_to);
+    start_rank_process(request.command, request.args, world, r, delay,
+                       handle.state_, parent_proto, ready_to);
   }
 
   mpi::SpawnResult result;

@@ -72,6 +72,14 @@ class JobHandle {
     int remaining = 0;
     sim::TimePoint finished_at{};
     std::function<void()> on_done;
+    /// Counts one finished rank at `now`; the last one stamps finished_at
+    /// and runs on_done.
+    void rank_done(sim::TimePoint now) {
+      remaining -= 1;
+      if (remaining != 0) return;
+      finished_at = now;
+      if (on_done) on_done();
+    }
   };
   std::shared_ptr<State> state_ = std::make_shared<State>();
 };
@@ -115,8 +123,6 @@ class DeepSystem {
   /// The dragonfly booster fabric (Dragonfly topology only).
   net::DragonflyFabric& dragonfly();
   mpi::MpiSystem& mpi_system() { return *mpi_; }
-  /// The armed fault plan, or nullptr when config().faults is inactive.
-  net::FaultPlan* fault_plan() { return fault_plan_.get(); }
   /// The engine's metrics registry when config().metrics publishes it,
   /// else nullptr.  The engine records into it either way.
   obs::Registry* metrics() {
@@ -158,10 +164,15 @@ class DeepSystem {
 
  private:
   mpi::SpawnResult spawn_children(const mpi::SpawnRequest& request);
+  /// The nodes of an `nprocs`-rank cluster job: round-robin over the
+  /// cluster nodes, continuing where the previous job left off.
+  std::vector<hw::NodeId> place_on_cluster(int nprocs);
+  /// Starts rank `rank` of `world` on its endpoint's node, `start_delay`
+  /// from now.
   void start_rank_process(const std::string& program_name,
-                          std::vector<std::string> args, hw::NodeId node_id,
-                          mpi::EpId ep, const mpi::MpiSystem::World& world,
-                          int rank, sim::Duration start_delay,
+                          std::vector<std::string> args,
+                          const mpi::MpiSystem::World& world, int rank,
+                          sim::Duration start_delay,
                           std::shared_ptr<JobHandle::State> job,
                           std::shared_ptr<mpi::IntercommState> parent_proto,
                           mpi::EpAddr ready_to);

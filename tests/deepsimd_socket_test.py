@@ -1,6 +1,7 @@
 """deepsimd over a Unix socket: a client that hangs up before its reply does
 not end the daemon, a reply arrives while the client's write side is still
-open, and a quit op ends the daemon.
+open, a client that stays idle does not hold up another client's replies,
+and a quit op ends the daemon while the idle client is still connected.
 
     python3 tests/deepsimd_socket_test.py path/to/deepsimd
 """
@@ -34,7 +35,7 @@ def main(deepsimd):
         try:
             with connect(daemon, path) as client:
                 client.sendall(b'{"op":"run","spec":{"steps":30}}\n')
-            with connect(daemon, path) as client:
+            with connect(daemon, path) as idle, connect(daemon, path) as client:
                 client.settimeout(10)
                 replies = client.makefile("r")
                 client.sendall(b'{"op":"stats"}\n')
@@ -42,12 +43,12 @@ def main(deepsimd):
                 assert "svc.cache_misses" in stats["stats"], stats
                 client.sendall(b'{"op":"quit"}\n')
                 assert json.loads(replies.readline()) == {"status": "ok"}
-            assert daemon.wait(timeout=30) == 0
+                assert daemon.wait(timeout=30) == 0  # `idle` is still open
         finally:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait()
-    print("socket reply before shutdown: ok")
+    print("socket replies beside an idle client, then quit: ok")
 
 
 if __name__ == "__main__":

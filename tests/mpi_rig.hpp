@@ -49,14 +49,7 @@ class MpiRig {
     const int n = world_.group->size();
     for (int r = 0; r < n; ++r) {
       engine_.spawn("rank" + std::to_string(r), [this, r, fn](sim::Context& ctx) {
-        auto state = std::make_shared<mpi::CommState>();
-        state->ctx_p2p = world_.ctx_p2p;
-        state->ctx_coll = world_.ctx_coll;
-        state->group = world_.group;
-        state->rank = r;
-        mpi::Mpi mpi(system_, ctx, *nodes_[static_cast<std::size_t>(r)],
-                     system_.endpoint(world_.group->members[static_cast<std::size_t>(r)].ep),
-                     mpi::Comm(std::move(state)), std::nullopt);
+        mpi::Mpi mpi(system_, ctx, *nodes_[static_cast<std::size_t>(r)], world_, r);
         fn(mpi);
       });
     }
@@ -111,14 +104,7 @@ class BoosterRig {
     const int n = world_.group->size();
     for (int r = 0; r < n; ++r) {
       engine_.spawn("rank" + std::to_string(r), [this, r, fn](sim::Context& ctx) {
-        auto state = std::make_shared<mpi::CommState>();
-        state->ctx_p2p = world_.ctx_p2p;
-        state->ctx_coll = world_.ctx_coll;
-        state->group = world_.group;
-        state->rank = r;
-        mpi::Mpi mpi(system_, ctx, *nodes_[static_cast<std::size_t>(r)],
-                     system_.endpoint(world_.group->members[static_cast<std::size_t>(r)].ep),
-                     mpi::Comm(std::move(state)), std::nullopt);
+        mpi::Mpi mpi(system_, ctx, *nodes_[static_cast<std::size_t>(r)], world_, r);
         fn(mpi);
       });
     }
@@ -228,14 +214,7 @@ class BridgedMpiRig {
       const std::uint32_t part =
           extoll_.attached(node) ? extoll_.partition_of(node) : 0;
       engine_.spawn_on(part, "rank" + std::to_string(r), [this, r, fn](sim::Context& ctx) {
-        auto state = std::make_shared<mpi::CommState>();
-        state->ctx_p2p = world_.ctx_p2p;
-        state->ctx_coll = world_.ctx_coll;
-        state->group = world_.group;
-        state->rank = r;
-        mpi::Mpi mpi(system_, ctx, *nodes_[static_cast<std::size_t>(r)],
-                     system_.endpoint(world_.group->members[static_cast<std::size_t>(r)].ep),
-                     mpi::Comm(std::move(state)), std::nullopt);
+        mpi::Mpi mpi(system_, ctx, *nodes_[static_cast<std::size_t>(r)], world_, r);
         fn(mpi);
       });
     }

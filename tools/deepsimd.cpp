@@ -9,10 +9,14 @@
 //
 // By default the daemon serves stdin/stdout — the transport composes with
 // anything that can pipe (CI, socat, an inetd-style supervisor).  With
-// --socket PATH it listens on a Unix stream socket instead and serves one
-// connection at a time.  Both run the same loop, svc::serve, over file
-// descriptors: a socket client gets each response as soon as it is ready,
-// with its write side still open.
+// --socket PATH it listens on a Unix stream socket instead and serves each
+// connection on its own thread, up to kMaxConnections at once (past that,
+// accept waits for one to end), so an idle client never starves another.
+// Both transports run the same loop, svc::serve, over file descriptors: a
+// socket client gets each response as soon as it is ready, with its write
+// side still open.  A quit op on any connection closes the listener and
+// ends reading on the others; the daemon exits once every connection has
+// answered the runs it submitted.
 //
 //   deepsimd [options]
 //     --workers N        in-process session workers        (default 2)
@@ -37,10 +41,17 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <condition_variable>
 #include <csignal>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <list>
+#include <mutex>
 #include <string>
+#include <system_error>
+#include <thread>
 
 #include "flags.hpp"
 #include "svc/serve.hpp"
@@ -48,6 +59,9 @@
 namespace dsv = deep::svc;
 
 namespace {
+
+/// Socket connections served at once, one thread each.
+constexpr std::size_t kMaxConnections = 16;
 
 struct Options {
   dsv::ServiceConfig service;
@@ -109,13 +123,75 @@ int serve_socket(dsv::Service& service, const std::string& path) {
     return 1;
   }
   std::fprintf(stderr, "deepsimd: serving %s\n", path.c_str());
+
+  // Every field below is guarded by `mu`.  A connection's thread marks it
+  // done as its last act; the accept loop joins and drops done ones.
+  struct Connection {
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
+  std::mutex mu;
+  std::condition_variable ended;
+  std::list<Connection> live;
+  bool quit = false;
+  const auto reap = [&] {
+    for (auto it = live.begin(); it != live.end();) {
+      if (!it->done) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = live.erase(it);
+    }
+  };
   for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ended.wait(lock, [&] {
+        reap();
+        return quit || live.size() < kMaxConnections;
+      });
+      if (quit) break;
+    }
     const int fd = accept(listener, nullptr, nullptr);
-    if (fd < 0) break;
-    // One conversation at a time; concurrency lives in the worker pool.
-    const bool keep_going = dsv::serve(service, fd, fd);
-    close(fd);
-    if (!keep_going) break;
+    if (fd < 0 && errno == EINTR) continue;
+    if (fd < 0) break;  // the listener was shut down by a quit
+    std::lock_guard<std::mutex> lock(mu);
+    if (quit) {
+      close(fd);
+      break;
+    }
+    Connection& conn = live.emplace_back();
+    conn.fd = fd;
+    try {
+      conn.thread = std::thread([&, self = &conn] {
+        const bool keep_going = dsv::serve(service, self->fd, self->fd);
+        std::lock_guard<std::mutex> done_lock(mu);
+        close(self->fd);
+        self->done = true;
+        if (!keep_going && !quit) {
+          // Stop accepting (this wakes the accept above) and end reading on
+          // the other connections: each still answers what it submitted.
+          quit = true;
+          shutdown(listener, SHUT_RDWR);
+          for (const Connection& other : live)
+            if (!other.done) shutdown(other.fd, SHUT_RD);
+        }
+        ended.notify_all();
+      });
+    } catch (const std::system_error&) {
+      // No thread to serve it: the client sees its connection closed.
+      close(fd);
+      live.pop_back();
+    }
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ended.wait(lock, [&] {
+      reap();
+      return live.empty();
+    });
   }
   close(listener);
   unlink(path.c_str());
