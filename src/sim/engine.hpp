@@ -5,12 +5,12 @@
 // -----
 // The engine owns pooled event queues of (time, key, payload) events and a
 // set of Processes.  Each Process runs user code on its own *fiber* — a
-// stackful userspace context (ucontext) owned by the engine — and a
+// stackful userspace context owned by the engine (sim/fiber.hpp) — and a
 // scheduler switches into exactly one fiber of a partition at a time.
 // Together with the key tie-break this makes every simulation fully
-// deterministic.  A fiber switch is a register swap (~100 ns), not a kernel
-// round-trip, so simulations with tens of thousands of concurrent processes
-// are practical.
+// deterministic.  A fiber switch swaps the stack pointer and six registers
+// in userspace, with no system call, so simulations with tens of thousands
+// of concurrent processes are practical.
 //
 // Fiber stacks are 256 KiB (pages committed lazily) and are recycled
 // through the process-wide FiberStackPool when processes finish.

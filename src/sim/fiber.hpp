@@ -1,11 +1,16 @@
 #pragma once
 // Stackful fibers for the simulation engine.
 //
-// A Fiber is a suspended flow of control with its own stack, switched to and
-// from with a plain userspace register swap (POSIX ucontext).  The engine
-// uses one fiber per simulated Process plus one implicit fiber for the
-// scheduler itself; a switch costs a few hundred nanoseconds instead of the
-// two kernel context switches of the previous thread/condvar hand-shake.
+// A Fiber is a suspended flow of control with its own stack.  Every switch,
+// the first entry into a new fiber included, runs one hand-written x86-64
+// routine (deep_fiber_switch in fiber.cpp): push the six callee-saved
+// registers, store the stack pointer, load the target's, pop its registers
+// and return into it.  That is the stack swap of Boost.Context's
+// jump_fcontext, which SimGrid/SMPI also uses for its "raw" contexts
+// (Degomme et al., IEEE TPDS 2017).  No signal mask is saved and no system
+// call is made.  The engine uses one fiber per simulated Process plus one
+// implicit fiber per scheduler anchor.  Only x86-64 (System V ABI) is
+// supported.
 //
 // Stacks come from FiberStackPool, one process-wide free list behind one
 // mutex: mmap'd blocks with a PROT_NONE guard page at the low end, handed
@@ -16,15 +21,17 @@
 // so any free stack fits any fiber.  The list never unmaps: it holds the
 // high-water mark of stacks live at once.
 //
-// AddressSanitizer support: every switch is annotated with
-// __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber so ASan
-// tracks the active stack; recycled stacks are unpoisoned before reuse.
-// Build with -fsanitize=address (e.g. the `asan` CMake preset) to use it.
+// Sanitizer support, detected from the compiler's own macros:
+//   * AddressSanitizer (the `asan` CMake preset): every switch is annotated
+//     with __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber
+//     so ASan tracks the active stack; recycled stacks are unpoisoned before
+//     reuse.
+//   * ThreadSanitizer (the `tsan` preset): every created fiber is a TSan
+//     fiber (__tsan_create_fiber / __tsan_switch_to_fiber /
+//     __tsan_destroy_fiber), so a fiber that migrates between worker
+//     threads keeps one race-detection context.
 
-#include <csetjmp>
 #include <cstddef>
-#include <cstdint>
-#include <ucontext.h>
 
 namespace deep::sim {
 
@@ -33,6 +40,14 @@ namespace deep::sim {
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define DEEPSIM_ASAN_FIBERS 1
+#endif
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+#define DEEPSIM_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DEEPSIM_TSAN_FIBERS 1
 #endif
 #endif
 
@@ -67,14 +82,15 @@ class FiberStackPool {
 };
 
 /// One suspended (or running) flow of control.  A default-constructed Fiber
-/// represents the caller's own context ("the scheduler") and becomes valid
-/// the first time another fiber switches back to it; a Fiber created with
-/// create() runs `entry(arg)` on its own stack on first switch-in.
+/// represents the caller's own context ("the scheduler anchor") and becomes
+/// valid when it first switches away; a Fiber created with create() runs
+/// `entry(arg)` on its own stack on first switch-in.
 class Fiber {
  public:
   using Entry = void (*)(void* arg);
 
   Fiber() = default;
+  ~Fiber();
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
@@ -90,31 +106,31 @@ class Fiber {
   FiberStack take_stack();
 
   /// Switches execution from `from` (the currently running fiber) to `to`.
-  /// Returns when someone switches back to `from`.  With `terminating` set,
-  /// `from` never resumes: its stack may be recycled by the target and, under
-  /// ASan, its fake stack is released.
+  /// Returns when someone switches back to `from`, possibly on another OS
+  /// thread.  With `terminating` set, `from` never resumes: its stack may be
+  /// recycled by the target and, under ASan, its fake stack is released.
   static void switch_to(Fiber& from, Fiber& to, bool terminating = false);
 
  private:
-  // Hybrid switching (the QEMU coroutine technique): ucontext only builds
-  // the initial stack frame; the first switch-in runs through swapcontext
-  // (one sigprocmask syscall, once per fiber), after which every suspend and
-  // resume is a pure userspace sigsetjmp/siglongjmp with no mask save.
-  ucontext_t ctx_{};
-  sigjmp_buf jmp_{};
-  // A default-constructed Fiber is the caller's own live context: it is
-  // resumed through the sigsetjmp it takes when switching away, never
-  // through swapcontext.  create() resets this so the first switch-in runs
-  // the ucontext entry path.
-  bool entered_ = true;
-  FiberStack stack_{};  // empty for the scheduler's own context
+  friend struct FiberSanitizers;
+  // Stack pointer saved by deep_fiber_switch while this fiber is suspended;
+  // it points at the saved callee-saved registers and the resume address.
+  void* sp_ = nullptr;
+  FiberStack stack_{};  // empty for a scheduler anchor
 #if DEEPSIM_ASAN_FIBERS
-  friend struct FiberAsan;
   void* fake_stack_ = nullptr;
-  // Stack bounds as reported to ASan; for the scheduler fiber these are
-  // learned from __sanitizer_finish_switch_fiber on the first switch away.
+  // Stack bounds as reported to ASan.  A scheduler anchor's are re-learned
+  // on every switch into another fiber: its partition may run on a
+  // different OS thread (and stack) in every window.
   const void* asan_stack_bottom_ = nullptr;
   std::size_t asan_stack_size_ = 0;
+  // The fiber whose switch last resumed this one; it is told its bounds.
+  Fiber* asan_source_ = nullptr;
+#endif
+#if DEEPSIM_TSAN_FIBERS
+  // Owned (__tsan_create_fiber) for a created fiber; for a scheduler anchor,
+  // the running thread's current fiber, re-read on every switch away.
+  void* tsan_fiber_ = nullptr;
 #endif
 };
 

@@ -51,8 +51,12 @@ void ResilientJob::launch_attempt(int attempt) {
   succeeded_.assign(static_cast<std::size_t>(n), 0);
   procs_.clear();
   for (int r = 0; r < n; ++r) {
-    const std::string name =
-        "a" + std::to_string(attempt) + ".rank" + std::to_string(r);
+    // Appended piecewise: GCC 12's -Wrestrict misfires on the operator+
+    // chain ("a" + to_string(...) + ...), which -Werror turns into an error.
+    std::string name = "a";
+    name += std::to_string(attempt);
+    name += ".rank";
+    name += std::to_string(r);
     procs_.push_back(&engine_->spawn(name, [this, world, r](sim::Context& ctx) {
       mpi::Mpi mpi(*mpi_, ctx, *rank_nodes_[static_cast<std::size_t>(r)],
                    world, r);

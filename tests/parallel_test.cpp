@@ -289,6 +289,42 @@ TEST(ParallelEngine, ProcessExceptionPropagatesDeterministically) {
   }
 }
 
+// A partition's scheduler anchor runs on a worker thread in one window and
+// on the main thread in another, so under ASan every switch into a process
+// fiber must tell the anchor the stack of the thread running it now.  With
+// stale bounds ASan ignores the stack cleanup of a later throw and then
+// reports a stack-use-after-scope (only when both runs share one process,
+// as they do here).
+TEST(ParallelEngine, ExceptionAfterWorkerWindows) {
+  {
+    ds::Engine engine;
+    engine.set_partitions(3);
+    engine.set_workers(3);
+    engine.set_lookahead(kUs);
+    for (std::uint32_t p = 0; p < 3; ++p) {
+      engine.spawn_on(p, "proc" + std::to_string(p), [p](ds::Context& ctx) {
+        ctx.delay(kUs * (p + 1));
+        ctx.delay(kUs);
+      });
+    }
+    engine.run();
+  }
+  ds::Engine engine;
+  engine.set_partitions(2);
+  engine.set_workers(2);
+  engine.set_lookahead(kUs);
+  engine.spawn_on(1, "thrower", [](ds::Context& ctx) {
+    ctx.delay(kUs);
+    throw std::runtime_error("boom after worker windows");
+  });
+  try {
+    engine.run();
+    FAIL() << "expected the process exception to escape";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom after worker windows");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Crossbar islands: partition-aware delivery
 // ---------------------------------------------------------------------------

@@ -6,10 +6,15 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/fiber.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
@@ -564,6 +569,134 @@ TEST(Scale, TenThousandProcessesSpawnAndFinish) {
   eng.run();
   EXPECT_EQ(done, kProcs);
   EXPECT_EQ(eng.num_processes(), static_cast<std::size_t>(kProcs));
+}
+
+// --- Fiber: the raw switch, without the engine ------------------------------
+
+// A fiber driven by hand.  resume() switches in from the caller's own
+// context; the body switches back with yield(), and its end returns the
+// stack to the pool.
+struct HandFiber {
+  explicit HandFiber(std::function<void(HandFiber&)> b) : body(std::move(b)) {
+    fiber.create(ds::FiberStackPool::acquire(), &HandFiber::entry, this);
+  }
+  void resume(ds::Fiber& from) {
+    anchor = &from;
+    ds::Fiber::switch_to(from, fiber);
+    if (done) ds::FiberStackPool::release(fiber.take_stack());
+  }
+  void yield() { ds::Fiber::switch_to(fiber, *anchor); }
+  static void entry(void* self) {
+    auto& f = *static_cast<HandFiber*>(self);
+    f.body(f);
+    f.done = true;
+    ds::Fiber::switch_to(f.fiber, *f.anchor, /*terminating=*/true);
+  }
+
+  std::function<void(HandFiber&)> body;
+  ds::Fiber fiber;
+  ds::Fiber* anchor = nullptr;  // the context that resumed `fiber` last
+  bool done = false;
+};
+
+struct FrameProbe {
+  ds::Fiber anchor;
+  ds::Fiber fiber;
+  ds::FiberStack stack;
+  std::uintptr_t frame = 0;
+  int links = -1;  // frame-pointer links up to the null one; -1: none found
+};
+
+// Called directly by the fiber's start code, so the frame-pointer chain holds
+// this frame, at most the start code's, then the null link of the entry
+// frame.  The walk never leaves the fiber's stack.
+void probe_entry_frame(void* arg) {
+  auto& p = *static_cast<FrameProbe*>(arg);
+  auto* fp = static_cast<void* const*>(__builtin_frame_address(0));
+  p.frame = reinterpret_cast<std::uintptr_t>(fp);
+  const auto lo = reinterpret_cast<std::uintptr_t>(p.stack.base);
+  const auto hi = lo + p.stack.size;
+  for (int links = 1; links <= 8; ++links) {
+    const auto at = reinterpret_cast<std::uintptr_t>(fp);
+    if (at < lo || at + sizeof(void*) > hi) break;
+    fp = static_cast<void* const*>(*fp);
+    if (fp == nullptr) {
+      p.links = links;
+      break;
+    }
+  }
+  ds::Fiber::switch_to(p.fiber, p.anchor, /*terminating=*/true);
+}
+
+TEST(Fiber, EntryFrameIsAlignedAndEndsTheFramePointerChain) {
+  FrameProbe p;
+  p.stack = ds::FiberStackPool::acquire();
+  p.fiber.create(p.stack, &probe_entry_frame, &p);
+  ds::Fiber::switch_to(p.anchor, p.fiber);
+  ds::FiberStackPool::release(p.fiber.take_stack());
+  EXPECT_EQ(p.frame % 16, 0u);
+  EXPECT_GE(p.links, 1);
+  EXPECT_LE(p.links, 2);
+}
+
+TEST(Fiber, ResumedOnAnotherThreadKeepsItsLocals) {
+  constexpr std::uint64_t kMix = 0x9E3779B97F4A7C15ull;
+  bool locals_kept = false;
+  HandFiber f([&](HandFiber& self) {
+    std::array<std::uint64_t, 64> local{};
+    for (std::size_t i = 0; i < local.size(); ++i) local[i] = i * kMix;
+    self.yield();  // resumed by another thread
+    bool same = true;
+    for (std::size_t i = 0; i < local.size(); ++i) same = same && local[i] == i * kMix;
+    locals_kept = same;
+  });
+  // The first thread ends before the second starts.
+  std::thread([&] {
+    ds::Fiber anchor;
+    f.resume(anchor);
+  }).join();
+  EXPECT_FALSE(f.done);
+  std::thread([&] {
+    ds::Fiber anchor;
+    f.resume(anchor);
+  }).join();
+  EXPECT_TRUE(f.done);
+  EXPECT_TRUE(locals_kept);
+}
+
+TEST(Fiber, ExceptionCaughtAcrossASuspendLeavesBothContextsRunning) {
+  std::vector<std::string> log;
+  HandFiber f([&](HandFiber& self) {
+    try {
+      self.yield();
+      throw std::runtime_error("fiber");
+    } catch (const std::runtime_error& e) {
+      log.push_back(std::string("caught ") + e.what());
+      self.yield();  // suspended inside the handler
+      log.push_back("handler resumed");
+    }
+    self.yield();
+    log.push_back("fiber done");
+  });
+  ds::Fiber anchor;
+  f.resume(anchor);
+  try {
+    throw std::runtime_error("anchor");
+  } catch (const std::runtime_error& e) {
+    log.push_back(std::string("caught ") + e.what());
+  }
+  f.resume(anchor);  // the fiber throws, catches and suspends in its handler
+  try {
+    throw std::logic_error("anchor again");
+  } catch (const std::logic_error& e) {
+    log.push_back(std::string("caught ") + e.what());
+  }
+  f.resume(anchor);
+  f.resume(anchor);
+  EXPECT_TRUE(f.done);
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "caught anchor", "caught fiber", "caught anchor again",
+                     "handler resumed", "fiber done"}));
 }
 
 // --- Determinism including trace output -------------------------------------
