@@ -23,8 +23,16 @@ Two tables follow the command's own output (which passes through):
 - the TOP_FUNCTIONS most sampled outermost functions: the function the sampled instruction lies
   in, after inlining.  A name with no scope carries its file:line, as in
   `_FUN (src/svc/session.cpp:NN)`.  An object without a symbol table (.symtab), such as
-  a stripped libc, has one row `<object> (no symbols)`: addr2line would name
+  a stripped libc, has rows `<object> (no symbols)`: addr2line would name
   its samples after the nearest exported symbol, which is mostly wrong.
+
+A sample in an object without a symbol table is charged to its caller
+when the sampler's return-address guess for it (the word at the stack
+pointer, for a leaf routine such as memset, else the word above the frame
+pointer) lies in an object with symbols, right after a call instruction.
+It then counts for the caller's layer, and its function row reads
+`<object> (no symbols) from <caller>`; a line after the tables says how
+many such samples found their caller.
 
 Inline frames need debug info (-g); without it every sample goes to its
 outermost function's layer.  --check-min-samples and --check-layer turn the
@@ -59,8 +67,8 @@ def read_samples(prefix):
     cpu_ns is the measured CPU time of all processes."""
     interval = None
     cpu_ns = 0
-    maps = {}     # pid file -> list of (start, end, offset, path)
-    pcs = []      # (pid file, pc, count)
+    maps = {}     # pid file -> list of (start, end, offset, path, perms)
+    pcs = []      # (pid file, pc, count, return-address guesses)
     weights = {}  # pid file -> measured CPU ns / samples
     for path in sorted(glob.glob(prefix + ".*")):
         regions = []
@@ -79,10 +87,11 @@ def read_samples(prefix):
                         continue
                     start, end = (int(v, 16) for v in fields[0].split("-"))
                     regions.append((start, end, int(fields[2], 16),
-                                    fields[5].strip()))
+                                    fields[5].strip(), fields[1]))
                 elif kind == "pc":
-                    pc, count = rest.split()
-                    pcs.append((path, int(pc, 16), int(count)))
+                    pc, count, *guesses = rest.split()
+                    pcs.append((path, int(pc, 16), int(count),
+                                [int(g, 16) for g in guesses]))
         maps[path] = sorted(regions)
     return interval, maps, pcs, weights, cpu_ns
 
@@ -110,8 +119,53 @@ def load_bias(path, regions_of_all):
     """Address at which `path` is mapped with file offset 0 (0 for ET_EXEC)."""
     if not is_shared_elf(path):
         return 0
-    starts = [s for s, _, off, p in regions_of_all if p == path and off == 0]
+    starts = [s for s, _, off, p, _ in regions_of_all if p == path and off == 0]
     return min(starts) if starts else None
+
+
+def region_of(regions, addr):
+    """The mapping of `regions` that holds `addr`, or None."""
+    k = bisect.bisect_right(regions, (addr, float("inf"))) - 1
+    return regions[k] if k >= 0 and regions[k][0] <= addr < regions[k][1] else None
+
+
+@functools.lru_cache(maxsize=None)
+def file_bytes(path):
+    try:
+        return Path(path).read_bytes()
+    except OSError:
+        return b""
+
+
+def follows_call(path, offset):
+    """True when the bytes of `path` just before file offset `offset` end an
+    x86-64 call: `call rel32` (E8) or an indirect call (FF /2) in its 2-,
+    3-, 4-, 6- or 7-byte forms."""
+    data = file_bytes(path)
+    if not 7 <= offset <= len(data):
+        return False
+    if data[offset - 5] == 0xE8:
+        return True
+    return any(data[offset - n] == 0xFF and (data[offset - n + 1] >> 3) & 7 == 2
+               for n in (2, 3, 4, 6, 7))
+
+
+def caller_of(regions, guesses):
+    """(object, address of the call) for the first return-address guess
+    that lies in an executable mapping of an object with symbols, right
+    after a call instruction; None when no guess does."""
+    for ret in guesses:
+        region = region_of(regions, ret)
+        if region is None:
+            continue
+        start, _, offset, obj, perms = region
+        if ("x" not in perms or not obj.startswith("/") or not has_symtab(obj)
+                or not follows_call(obj, ret - start + offset)):
+            continue
+        bias = load_bias(obj, regions)
+        if bias is not None:
+            return obj, ret - 1 - bias
+    return None
 
 
 def resolve(obj, addrs):
@@ -178,54 +232,72 @@ def object_row(path):
     return re.sub(r"(-[\d.]+)?\.so.*$", "", base) or path
 
 
+def is_executable(path):
+    return not re.search(r"\.so(\.|$)", path)
+
+
 def profile(prefix):
     interval, maps, pcs, weights, cpu_ns = read_samples(prefix)
     layers = collections.Counter()          # layer -> CPU ns
     functions = collections.Counter()       # function -> CPU ns
     wanted = collections.defaultdict(set)   # object -> addresses
-    placed = []                             # (object, addr, count, is_exe, ns)
-    unnamed = set()                         # objects without a .symtab
-    biases = {}                             # (pid file, object) -> bias
-    for pid_file, pc, count in pcs:
+    placed = []                 # (object, addr, count, is_exe, ns, caller)
+    # Object without a .symtab -> [samples charged to their caller, samples]
+    unnamed = collections.defaultdict(lambda: [0, 0])
+    biases = {}                 # (pid file, object) -> bias
+    for pid_file, pc, count, guesses in pcs:
         ns = count * weights[pid_file]
         regions = maps.get(pid_file, [])
-        k = bisect.bisect_right(regions, (pc, float("inf"))) - 1
-        if k < 0 or not regions[k][0] <= pc < regions[k][1]:
-            placed.append((None, pc, count, False, ns))
+        region = region_of(regions, pc)
+        if region is None:
+            placed.append((None, pc, count, False, ns, None))
             continue
-        obj = regions[k][3]
+        obj = region[3]
         if (pid_file, obj) not in biases:
             biases[pid_file, obj] = (load_bias(obj, regions)
                                      if obj.startswith("/") else None)
         bias = biases[pid_file, obj]
         if bias is None:
-            placed.append((obj or "?", None, count, False, ns))
+            placed.append((obj or "?", None, count, False, ns, None))
             continue
-        is_exe = not re.search(r"\.so(\.|$)", obj)
+        is_exe = is_executable(obj)
         if not has_symtab(obj):
-            unnamed.add(obj)
-            placed.append((obj, None, count, is_exe, ns))
+            caller = caller_of(regions, guesses)
+            if caller:
+                wanted[caller[0]].add(caller[1])
+                unnamed[obj][0] += count
+            unnamed[obj][1] += count
+            placed.append((obj, None, count, is_exe, ns, caller))
             continue
         addr = pc - bias
         wanted[obj].add(addr)
-        placed.append((obj, addr, count, is_exe, ns))
+        placed.append((obj, addr, count, is_exe, ns, None))
     resolved = {obj: resolve(obj, sorted(addrs)) for obj, addrs in wanted.items()}
-    total = 0
-    for obj, addr, count, is_exe, ns in placed:
-        total += count
+
+    def layer_and_outer(obj, addr, is_exe):
+        """Layer of `addr` in `obj` and its outermost named function."""
         chain = resolved.get(obj, {}).get(addr, []) if addr is not None else []
         chain = [f for f in chain if f[0] != "??"]
         layer = next((l for l in (layer_of(*f) for f in chain) if l), None)
         if layer is None:
             layer = "other" if is_exe else object_row(obj or "?")
+        return layer, label(*chain[-1]) if chain else "?"
+
+    total = 0
+    for obj, addr, count, is_exe, ns, caller in placed:
+        total += count
+        if caller:  # charged to the caller's layer and function
+            layer, outer = layer_and_outer(*caller, is_executable(caller[0]))
+            outer = "%s (no symbols) from %s" % (object_row(obj), outer)
+        else:
+            layer, outer = layer_and_outer(obj, addr, is_exe)
+            if obj in unnamed:
+                outer = "%s (no symbols)" % object_row(obj)
+            elif not is_exe:
+                outer += " [%s]" % object_row(obj or "?")
         layers[layer] += ns
-        outer = label(*chain[-1]) if chain else "?"
-        if obj in unnamed:
-            outer = "%s (no symbols)" % object_row(obj)
-        elif not is_exe:
-            outer += " [%s]" % object_row(obj or "?")
         functions[outer] += ns
-    return interval, total, cpu_ns, layers, functions
+    return interval, total, cpu_ns, layers, functions, unnamed
 
 
 def short(name, width=100):
@@ -257,7 +329,7 @@ def main():
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         rusage_s = (after.ru_utime + after.ru_stime -
                     before.ru_utime - before.ru_stime)
-        interval, total, cpu_ns, layers, functions = profile(prefix)
+        interval, total, cpu_ns, layers, functions, unnamed = profile(prefix)
 
     cpu_ms = cpu_ns / 1e6
     print("host_profile: %d samples over %.1f ms of measured CPU time "
@@ -272,6 +344,9 @@ def main():
     for name, ns in functions.most_common(TOP_FUNCTIONS):
         print("%8.1f %6.1f%%  %s" % (ns / 1e6, 100.0 * ns / max(cpu_ns, 1),
                                      short(name)))
+    for obj, (with_caller, samples) in sorted(unnamed.items()):
+        print("%s (no symbols): %d of %d samples charged to their caller"
+              % (object_row(obj), with_caller, samples))
 
     failed = []
     if total < args.check_min_samples:

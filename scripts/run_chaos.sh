@@ -22,6 +22,11 @@
 # With the `tsan` preset it runs the suites that start worker threads —
 # sim, metrics, parallel and service — under ThreadSanitizer instead.
 #
+# ctest runs every gtest case in a process of its own, so it never sees
+# state that one test leaves for the next.  After the ctest pass, each test
+# binary therefore runs once more as one whole process; a sanitizer report
+# makes it exit non-zero and fails the script.
+#
 # Usage: scripts/run_chaos.sh [asan|tsan] [ctest args...]
 #   default preset: asan; the build dir is build-<preset>, configured from
 #   the CMake preset of that name when missing.
@@ -36,6 +41,7 @@ case "$PRESET" in
 parallel_test resiliency_test service_test topology_test"
     LABELS="sim chaos perf metrics parallel resiliency service topology"
     EXCLUDE=bench_fabric_smoke
+    GTEST_FILTER='*'
     ;;
   tsan)
     TARGETS="sim_test obs_test metrics_test parallel_test service_test"
@@ -44,6 +50,7 @@ parallel_test resiliency_test service_test topology_test"
     # fibers abort with "can not mmap thread trace".  Tier-1 and UBSan
     # still run this test.
     EXCLUDE=Scale.TenThousandProcessesSpawnAndFinish
+    GTEST_FILTER=-$EXCLUDE
     ;;
   *)
     echo "usage: $0 [asan|tsan] [ctest args...]" >&2
@@ -77,4 +84,17 @@ done
 echo "== running the $LABELS suites under $PRESET =="
 ctest --test-dir "$BUILD" -L "$(echo "$LABELS" | tr ' ' '|')" \
   -E "$EXCLUDE" --output-on-failure "$@"
+
+echo "== running each test binary as one process under $PRESET =="
+for t in $TARGETS; do
+  log="$BUILD/Testing/whole-$t.log"
+  # From the tests directory, like ctest.
+  if (cd "$BUILD/tests" && "./$t" --gtest_filter="$GTEST_FILTER") >"$log" 2>&1; then
+    echo "   $t: $(grep -E '^\[  PASSED  \]' "$log")"
+  else
+    tail -n 60 "$log" >&2
+    echo "FAIL: $t as one process under $PRESET (full log: $log)" >&2
+    exit 1
+  fi
+done
 echo "$PRESET: the $LABELS suites passed"

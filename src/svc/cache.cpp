@@ -2,16 +2,22 @@
 
 namespace deep::svc {
 
-std::optional<SessionResult> ResultCache::lookup(const std::string& key) {
+std::optional<SessionResult> ResultCache::lookup(const std::string& key,
+                                                 bool count_miss) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
+    if (count_miss) ++misses_;
     return std::nullopt;
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->result;
+}
+
+void ResultCache::count_miss() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++misses_;
 }
 
 void ResultCache::insert(const std::string& key, const SessionResult& result) {

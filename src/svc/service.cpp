@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 #include "util/lane.hpp"
 
 namespace deep::svc {
@@ -47,40 +48,65 @@ Service::~Service() {
   for (std::thread& t : threads_) t.join();
 }
 
+namespace {
+
+const char* status_of(const SessionResult& session) {
+  return session.error.empty() && session.ok ? "ok" : "failed";
+}
+
+}  // namespace
+
 std::uint64_t Service::submit(const std::string& spec_text) {
   Reject reject;
   std::optional<JobSpec> spec = JobSpec::from_text(spec_text, reject);
+  std::string cache_key, key;
+  if (spec) {
+    cache_key = spec->canonical_key();
+    key = hex64(fnv1a64(cache_key));
+  }
+  const bool caching = cfg_.cache_entries > 0;
 
   std::unique_lock<std::mutex> lock(mu_);
   const std::uint64_t id = next_id_++;
+  tickets_.try_emplace(id);
   if (!spec) {
-    JobResult r;
-    r.job_id = id;
-    r.status = "rejected";
-    r.reject = reject;
-    ++jobs_rejected_;
-    results_.emplace(id, std::move(r));
-    lock.unlock();
-    results_cv_.notify_all();
+    reject_locked(id, std::move(reject));
     return id;
+  }
+  if (caching) {
+    // One lock over both checks: a worker erases its in-flight entry only
+    // after caching the result, so a duplicate finds one or the other.
+    if (auto it = in_flight_.find(cache_key); it != in_flight_.end()) {
+      it->second.push_back(id);
+      ++jobs_coalesced_;
+      return id;
+    }
+    if (std::optional<SessionResult> hit =
+            cache_.lookup(cache_key, /*count_miss=*/false)) {
+      JobResult r;
+      r.job_id = id;
+      r.status = status_of(*hit);
+      r.cache_hit = true;
+      r.key = std::move(key);
+      r.session = std::move(*hit);
+      complete_locked(std::move(r));
+      return id;
+    }
   }
   if (queue_.size() >= cfg_.queue_capacity) {
     // Shed load instead of blocking the submitter: the reject is the
     // back-pressure signal.
-    JobResult r;
-    r.job_id = id;
-    r.status = "rejected";
-    r.reject = {"queue_full", "",
-                "job queue at capacity (" +
-                    std::to_string(cfg_.queue_capacity) + "); retry later"};
-    ++jobs_rejected_;
     ++queue_rejects_;
-    results_.emplace(id, std::move(r));
-    lock.unlock();
-    results_cv_.notify_all();
+    reject_locked(id, {"queue_full", "",
+                       "job queue at capacity (" +
+                           std::to_string(cfg_.queue_capacity) +
+                           "); retry later"});
     return id;
   }
-  queue_.push_back(PendingJob{id, std::move(*spec)});
+  cache_.count_miss();
+  if (caching) in_flight_.try_emplace(cache_key);
+  queue_.push_back(
+      PendingJob{id, std::move(*spec), std::move(cache_key), std::move(key)});
   lock.unlock();
   queue_cv_.notify_one();
   return id;
@@ -88,10 +114,24 @@ std::uint64_t Service::submit(const std::string& spec_text) {
 
 JobResult Service::wait(std::uint64_t job_id) {
   std::unique_lock<std::mutex> lock(mu_);
-  results_cv_.wait(lock, [&] { return results_.count(job_id) != 0; });
-  auto it = results_.find(job_id);
-  JobResult r = std::move(it->second);
-  results_.erase(it);
+  const auto it = tickets_.find(job_id);
+  if (it == tickets_.end())
+    throw util::UsageError(std::string("Service::wait: job ")
+                               .append(std::to_string(job_id))
+                               .append(" was never issued or was already "
+                                       "collected"));
+  Ticket& ticket = it->second;  // a reference survives rehashing
+  if (ticket.waiter != nullptr)
+    throw util::UsageError(std::string("Service::wait: job ")
+                               .append(std::to_string(job_id))
+                               .append(" is already being waited on"));
+  if (!ticket.result) {
+    std::condition_variable woken;
+    ticket.waiter = &woken;
+    woken.wait(lock, [&] { return ticket.result.has_value(); });
+  }
+  JobResult r = std::move(*ticket.result);
+  tickets_.erase(job_id);
   return r;
 }
 
@@ -105,30 +145,33 @@ void Service::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    complete(execute(std::move(job)));
+    JobResult r = execute(job);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto it = in_flight_.find(job.cache_key); it != in_flight_.end()) {
+      // The jobs that joined this run get its result, host failure or not.
+      for (const std::uint64_t follower : it->second) {
+        JobResult copy = r;
+        copy.job_id = follower;
+        copy.cache_hit = true;
+        complete_locked(std::move(copy));
+      }
+      in_flight_.erase(it);
+    }
+    complete_locked(std::move(r));
   }
 }
 
-JobResult Service::execute(PendingJob job) {
+JobResult Service::execute(const PendingJob& job) {
   JobResult r;
   r.job_id = job.id;
-  r.key = job.spec.key_hash();
-
-  const std::string cache_key = job.spec.canonical_key();
-  if (std::optional<SessionResult> hit = cache_.lookup(cache_key)) {
-    r.cache_hit = true;
-    r.session = std::move(*hit);
-    r.status = r.session.error.empty() && r.session.ok ? "ok" : "failed";
-    return r;
-  }
-
+  r.key = job.key;
   // A failed simulation replays bit-identically, so it is cached like a
   // success; a host failure (fork, pipe, a killed child) is not replayed.
   bool host_failed = false;
   r.session = cfg_.fork_per_job ? run_forked(job.spec, host_failed)
                                 : run_session(job.spec);
-  r.status = r.session.error.empty() && r.session.ok ? "ok" : "failed";
-  if (!host_failed) cache_.insert(cache_key, r.session);
+  r.status = status_of(r.session);
+  if (!host_failed) cache_.insert(job.cache_key, r.session);
   return r;
 }
 
@@ -186,17 +229,27 @@ SessionResult Service::run_forked(const JobSpec& spec, bool& host_failed) {
   return SessionResult::from_json(parsed.value);
 }
 
-void Service::complete(JobResult result) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (result.status == "ok") {
-      ++jobs_ok_;
-    } else {
-      ++jobs_failed_;
-    }
-    results_.emplace(result.job_id, std::move(result));
+void Service::complete_locked(JobResult result) {
+  if (result.status == "ok") {
+    ++jobs_ok_;
+  } else if (result.status == "failed") {
+    ++jobs_failed_;
+  } else {
+    ++jobs_rejected_;
   }
-  results_cv_.notify_all();
+  Ticket& ticket = tickets_.at(result.job_id);
+  ticket.result = std::move(result);
+  // Notified under mu_: the condition variable lives in the waiting
+  // wait() call and is gone as soon as that call returns.
+  if (ticket.waiter != nullptr) ticket.waiter->notify_one();
+}
+
+void Service::reject_locked(std::uint64_t id, Reject reject) {
+  JobResult r;
+  r.job_id = id;
+  r.status = "rejected";
+  r.reject = std::move(reject);
+  complete_locked(std::move(r));
 }
 
 std::string Service::stats_json() const {
@@ -205,18 +258,20 @@ std::string Service::stats_json() const {
   // bumped live from arbitrary service threads — but a snapshot built here,
   // single-threaded, honours the same sorted-names determinism contract.
   obs::Registry reg;
-  std::int64_t ok, failed, rejected, shed, depth;
+  std::int64_t ok, failed, rejected, coalesced, shed, depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ok = jobs_ok_;
     failed = jobs_failed_;
     rejected = jobs_rejected_;
+    coalesced = jobs_coalesced_;
     shed = queue_rejects_;
     depth = static_cast<std::int64_t>(queue_.size());
   }
   reg.counter("svc.cache_evictions").add(cache_.evictions());
   reg.counter("svc.cache_hits").add(cache_.hits());
   reg.counter("svc.cache_misses").add(cache_.misses());
+  reg.counter("svc.jobs_coalesced").add(coalesced);
   reg.counter("svc.jobs_failed").add(failed);
   reg.counter("svc.jobs_ok").add(ok);
   reg.counter("svc.jobs_rejected").add(rejected);

@@ -6,7 +6,10 @@
 // cache.  Requests enter as raw JSON text; every way a request can end —
 // served from cache, simulated fresh, failed inside the simulation,
 // rejected before it ever touched a worker — is a structured JobResult.
-// The queue never blocks the submitter: when it is full the job is shed
+// submit() answers a cache hit on the caller's thread, and a miss whose
+// key is already queued or running joins that run (single flight), so only
+// a job that needs a simulation of its own takes a queue slot.  The queue
+// never blocks the submitter: when it is full such a job is shed
 // immediately with a typed "queue_full" reject.  The line loop
 // (svc/serve.hpp) keeps each conversation inside the queue capacity by not
 // reading, so only direct API callers see that reject.
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -48,9 +52,9 @@ struct JobResult {
   std::uint64_t job_id = 0;
   std::string status;  // "ok" | "failed" | "rejected"
   Reject reject;       // filled when status == "rejected"
-  bool cache_hit = false;
+  bool cache_hit = false;  // served without a simulation of its own
   std::string key;        // spec key hash (hex), "" when rejected
-  SessionResult session;  // filled when the job reached a worker
+  SessionResult session;  // filled when the job was served
 
   Json to_json() const;
 };
@@ -62,13 +66,18 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Submits one raw JSON spec.  Always returns a job id; parse/validation
-  /// failures and queue saturation complete the job immediately (status
-  /// "rejected"), so wait() on the id returns without touching a worker.
+  /// Submits one raw JSON spec.  Always returns a job id.  A cache hit and
+  /// a parse/validation failure or queue saturation (status "rejected")
+  /// complete the job before submit returns, so wait() on the id returns
+  /// without touching a worker.  A miss whose key is already queued or
+  /// running completes with that run, as a cache hit.  With cache_entries
+  /// 0 every accepted job simulates.
   std::uint64_t submit(const std::string& spec_text);
 
-  /// Blocks until the job completes and returns (moves out) its result.
-  /// Each id may be waited on once.
+  /// Blocks until the job completes and returns (moves out) its result;
+  /// the completion wakes only this caller.  Each id may be waited on
+  /// once: an id never issued, already collected or already being waited
+  /// on throws util::UsageError.
   JobResult wait(std::uint64_t job_id);
 
   /// Synchronous convenience: submit + wait.
@@ -87,27 +96,43 @@ class Service {
   struct PendingJob {
     std::uint64_t id = 0;
     JobSpec spec;
+    std::string cache_key;  // spec.canonical_key()
+    std::string key;        // its hash, JobResult::key
+  };
+
+  /// A job issued and not yet collected.
+  struct Ticket {
+    std::optional<JobResult> result;            // set when the job completes
+    std::condition_variable* waiter = nullptr;  // the wait() blocked on it
   };
 
   void worker_loop();
-  JobResult execute(PendingJob job);
+  /// Simulates the job and caches its result unless the host failed it.
+  JobResult execute(const PendingJob& job);
   /// Simulates `spec` in a forked child; sets `host_failed` when the host,
   /// not the simulation, ended the job (its result must not be cached).
   SessionResult run_forked(const JobSpec& spec, bool& host_failed);
-  void complete(JobResult result);
+  /// Files `result` under its ticket and wakes that ticket's waiter, if
+  /// any.  Requires mu_.
+  void complete_locked(JobResult result);
+  void reject_locked(std::uint64_t id, Reject reject);
 
   ServiceConfig cfg_;
   ResultCache cache_;
 
   mutable std::mutex mu_;
-  std::condition_variable queue_cv_;    // workers: queue non-empty / stop
-  std::condition_variable results_cv_;  // waiters: a job completed
+  std::condition_variable queue_cv_;  // workers: queue non-empty / stop
   std::deque<PendingJob> queue_;
-  std::unordered_map<std::uint64_t, JobResult> results_;
+  std::unordered_map<std::uint64_t, Ticket> tickets_;
+  // Cache key of each queued or running job -> the ids of the jobs that
+  // joined it.  An entry is erased only after its result is in the cache,
+  // so a duplicate finds one or the other.  Empty without a cache.
+  std::unordered_map<std::string, std::vector<std::uint64_t>> in_flight_;
   std::uint64_t next_id_ = 1;
   std::int64_t jobs_ok_ = 0;
   std::int64_t jobs_failed_ = 0;
   std::int64_t jobs_rejected_ = 0;
+  std::int64_t jobs_coalesced_ = 0;
   std::int64_t queue_rejects_ = 0;
   bool stopping_ = false;
 

@@ -259,7 +259,7 @@ TEST(TorusRouteTable, WrapAroundTakesShorterDirection) {
 void run_concurrent_processes(int n) {
   ds::Engine eng;
   for (int i = 0; i < n; ++i)
-    eng.spawn("p" + std::to_string(i),
+    eng.spawn(std::string("p").append(std::to_string(i)),
               [](ds::Context& ctx) { ctx.delay(ds::microseconds(1)); });
   eng.run();
 }

@@ -168,7 +168,7 @@ class MiniIoRig {
       : transport_(ib_), ionet_(engine_, transport_, params) {
     for (int i = 0; i < n; ++i) {
       nodes_.push_back(std::make_unique<hw::Node>(
-          i, "n" + std::to_string(i),
+          i, std::string("n").append(std::to_string(i)),
           i == 0 ? hw::xeon_cluster_node() : hw::gateway_node()));
       ib_.attach(i);
       ionet_.attach(ib_.nic(i));

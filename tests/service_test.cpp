@@ -9,6 +9,9 @@
 //   * Determinism dividend: a cache hit is byte-identical to a fresh run,
 //     and the cache key canonicalisation makes reordered/sparse JSON
 //     variants of the same job hit the same entry.
+//   * Serving at submit: a hit is answered on the caller's thread, a
+//     duplicate of a job still queued or running joins that run (exactly
+//     one simulation per key), and each completion wakes only its waiter.
 //   * Typed failure: bad specs are rejected deterministically and leak
 //     nothing; a chaos job that kills its own gateways fails cleanly and
 //     leaves its worker healthy; a saturated queue sheds load with a typed
@@ -16,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,6 +34,7 @@
 #include "svc/session.hpp"
 #include "sys/report.hpp"
 #include "sys/system.hpp"
+#include "util/error.hpp"
 
 namespace dsv = deep::svc;
 namespace dsy = deep::sys;
@@ -48,6 +55,23 @@ dsv::JobSpec small_spec(const std::string& workload, std::uint64_t seed) {
 
 std::string spec_text(const dsv::JobSpec& spec) {
   return spec.to_json().dump();
+}
+
+// One instrument's value from Service::stats_json().
+std::int64_t stat(const dsv::Service& service, const std::string& name) {
+  const dsv::ParseResult parsed = dsv::Json::parse(service.stats_json());
+  for (const dsv::Json& m : parsed.value.find("metrics")->items())
+    if (m.find("name")->as_string() == name) return m.find("value")->as_int();
+  ADD_FAILURE() << "no instrument " << name;
+  return -1;
+}
+
+// Every job that reaches the cache is counted exactly once.
+void expect_each_job_counted_once(const dsv::Service& service) {
+  EXPECT_EQ(stat(service, "svc.cache_hits") +
+                stat(service, "svc.jobs_coalesced") +
+                stat(service, "svc.cache_misses"),
+            stat(service, "svc.jobs_ok") + stat(service, "svc.jobs_failed"));
 }
 
 // --- Re-entrancy -----------------------------------------------------------
@@ -283,6 +307,193 @@ TEST(ServiceCache, StatsSnapshotIsDeterministic) {
   EXPECT_NE(snap.find("\"svc.jobs_ok\",\"kind\":\"counter\",\"value\":2"),
             std::string::npos)
       << snap;
+}
+
+// --- Serving at submit -----------------------------------------------------
+
+// A hit is answered on the submitting thread: it does not queue behind the
+// one worker, which is busy with a slow uncached job.
+TEST(ServiceSubmit, HitIsAnsweredWhileTheOnlyWorkerIsBusy) {
+  dsv::ServiceConfig cfg;
+  cfg.workers = 1;
+  dsv::Service service(cfg);
+  const std::string warm = spec_text(small_spec("spmv", 43));
+  ASSERT_FALSE(service.run(warm).cache_hit);
+
+  dsv::JobSpec slow_spec = small_spec("nbody", 43);
+  slow_spec.booster = 8;
+  slow_spec.procs = 8;
+  slow_spec.steps = 300;
+  const std::uint64_t slow = service.submit(spec_text(slow_spec));
+  const dsv::JobResult hit = service.run(warm);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.status, "ok");
+  EXPECT_EQ(stat(service, "svc.jobs_ok"), 2)  // the slow job is still running
+      << "the hit waited for the worker";
+  const dsv::JobResult r = service.wait(slow);
+  EXPECT_EQ(r.status, "ok") << r.session.error;
+  EXPECT_FALSE(r.cache_hit);
+  expect_each_job_counted_once(service);
+}
+
+// Eight threads submit one uncached key at once: one simulation serves all
+// eight, every copy byte-identical to a solo run.
+TEST(ServiceSubmit, ConcurrentDuplicatesRunOneSimulation) {
+  const dsv::JobSpec spec = small_spec("cholesky", 47);
+  const std::string solo = dsv::run_session(spec).fingerprint();
+  dsv::ServiceConfig cfg;
+  cfg.workers = 2;
+  dsv::Service service(cfg);
+
+  const std::string text = spec_text(spec);
+  constexpr int kThreads = 8;
+  std::vector<dsv::JobResult> results(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[i] = service.run(text);
+    });
+  for (std::thread& t : threads) t.join();
+
+  int simulated = 0;
+  for (const dsv::JobResult& r : results) {
+    EXPECT_EQ(r.status, "ok") << r.session.error;
+    EXPECT_EQ(solo, r.session.fingerprint());
+    if (!r.cache_hit) ++simulated;
+  }
+  EXPECT_EQ(simulated, 1);
+  EXPECT_EQ(stat(service, "svc.cache_misses"), 1);
+  expect_each_job_counted_once(service);
+}
+
+// Duplicates keep arriving while each run completes: a key is never
+// simulated twice, so no duplicate falls between the end of the run and
+// its cache entry.  The submitters pause between submits, spinning, so
+// that they reach the service lock at any moment rather than queue on it.
+TEST(ServiceSubmit, DuplicatesDuringCompletionNeverRerun) {
+  dsv::ServiceConfig cfg;
+  cfg.workers = 2;
+  dsv::Service service(cfg);
+  constexpr int kKeys = 150;
+  constexpr int kThreads = 3;
+  std::vector<std::uint64_t> ids;
+  for (int k = 0; k < kKeys; ++k) {
+    const std::string text = spec_text(small_spec("nbody", 100 + k));
+    const std::int64_t hits_before = service.cache().hits();
+    std::vector<std::vector<std::uint64_t>> submitted(kThreads);
+    submitted[0].push_back(service.submit(text));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        // Until the run is over and a duplicate has hit its cache entry.
+        while (service.cache().hits() == hits_before) {
+          submitted[t].push_back(service.submit(text));
+          const auto until = std::chrono::steady_clock::now() +
+                             std::chrono::microseconds(15 + 20 * t);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        }
+      });
+    for (std::thread& t : threads) t.join();
+    for (const auto& v : submitted) ids.insert(ids.end(), v.begin(), v.end());
+  }
+  for (const std::uint64_t id : ids) EXPECT_EQ(service.wait(id).status, "ok");
+  EXPECT_EQ(stat(service, "svc.cache_misses"), kKeys);
+  EXPECT_EQ(stat(service, "svc.jobs_rejected"), 0);
+  expect_each_job_counted_once(service);
+}
+
+// Each wait returns its own job, whatever the order of completion and
+// however many threads wait at once.
+TEST(ServiceSubmit, EachWaitReturnsItsOwnJob) {
+  std::vector<dsv::JobSpec> specs;
+  std::vector<std::string> solo;
+  for (int i = 0; i < 8; ++i) {
+    specs.push_back(small_spec(i % 2 == 0 ? "spmv" : "nbody", 60 + i));
+    solo.push_back(dsv::run_session(specs.back()).fingerprint());
+  }
+  dsv::ServiceConfig cfg;
+  cfg.workers = 2;
+  dsv::Service service(cfg);
+
+  // One thread, waiting in reverse submission order.
+  std::vector<std::uint64_t> ids;
+  for (const dsv::JobSpec& spec : specs) ids.push_back(service.submit(spec_text(spec)));
+  for (std::size_t i = ids.size(); i-- > 0;) {
+    const dsv::JobResult r = service.wait(ids[i]);
+    EXPECT_EQ(r.job_id, ids[i]);
+    EXPECT_EQ(solo[i], r.session.fingerprint()) << i;
+  }
+
+  // Eight threads, each blocked on one job before it completes.
+  dsv::ServiceConfig cold = cfg;
+  cold.cache_entries = 0;
+  dsv::Service fresh(cold);
+  ids.clear();
+  for (const dsv::JobSpec& spec : specs) ids.push_back(fresh.submit(spec_text(spec)));
+  std::vector<dsv::JobResult> results(ids.size());
+  std::vector<std::thread> waiters;
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    waiters.emplace_back([&, i] { results[i] = fresh.wait(ids[i]); });
+  for (std::thread& t : waiters) t.join();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(results[i].job_id, ids[i]);
+    EXPECT_EQ(solo[i], results[i].session.fingerprint()) << i;
+  }
+}
+
+// With the cache disabled there are no hits and no single flight: every
+// duplicate simulates.
+TEST(ServiceSubmit, WithoutCacheEveryDuplicateRuns) {
+  dsv::ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.cache_entries = 0;
+  dsv::Service service(cfg);
+  const std::string text = spec_text(small_spec("spmv", 53));
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(service.submit(text));
+  for (const std::uint64_t id : ids) {
+    const dsv::JobResult r = service.wait(id);
+    EXPECT_EQ(r.status, "ok") << r.session.error;
+    EXPECT_FALSE(r.cache_hit);
+  }
+  EXPECT_EQ(stat(service, "svc.cache_misses"), 4);
+  EXPECT_EQ(stat(service, "svc.cache_hits"), 0);
+  EXPECT_EQ(stat(service, "svc.jobs_coalesced"), 0);
+}
+
+// A shed or malformed job is rejected and reaches no cache counter.
+TEST(ServiceSubmit, RejectedJobsAreNotCounted) {
+  dsv::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 1;
+  dsv::Service service(cfg);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 6; ++i)
+    ids.push_back(service.submit(spec_text(small_spec("stencil", 70 + i))));
+  ids.push_back(service.submit(spec_text(small_spec("stencil", 70))));
+  ids.push_back(service.submit("{"));
+  for (const std::uint64_t id : ids) (void)service.wait(id);
+  EXPECT_GE(stat(service, "svc.queue_rejects"), 1);
+  EXPECT_EQ(stat(service, "svc.jobs_rejected"),
+            stat(service, "svc.queue_rejects") + 1);
+  expect_each_job_counted_once(service);
+}
+
+// wait() on an id that was never issued, or was already collected, is a
+// caller error rather than a hang.
+TEST(ServiceSubmit, WaitOnABadIdThrows) {
+  dsv::ServiceConfig cfg;
+  cfg.workers = 1;
+  dsv::Service service(cfg);
+  EXPECT_THROW((void)service.wait(0), deep::util::UsageError);
+  EXPECT_THROW((void)service.wait(99), deep::util::UsageError);
+  const std::uint64_t id = service.submit("{");
+  EXPECT_EQ(service.wait(id).status, "rejected");
+  EXPECT_THROW((void)service.wait(id), deep::util::UsageError);
 }
 
 // --- Typed rejection and failure -------------------------------------------

@@ -137,13 +137,13 @@ TEST(Process, TwoProcessesInterleaveDeterministically) {
   std::vector<std::string> trace;
   eng.spawn("a", [&](ds::Context& ctx) {
     for (int i = 0; i < 3; ++i) {
-      trace.push_back("a" + std::to_string(i));
+      trace.push_back(std::string("a").append(std::to_string(i)));
       ctx.delay(ds::nanoseconds(10));
     }
   });
   eng.spawn("b", [&](ds::Context& ctx) {
     for (int i = 0; i < 3; ++i) {
-      trace.push_back("b" + std::to_string(i));
+      trace.push_back(std::string("b").append(std::to_string(i)));
       ctx.delay(ds::nanoseconds(10));
     }
   });
@@ -257,10 +257,11 @@ TEST(Process, ManyProcessesScale) {
   int done = 0;
   constexpr int kProcs = 200;
   for (int i = 0; i < kProcs; ++i) {
-    eng.spawn("p" + std::to_string(i), [&, i](ds::Context& ctx) {
-      ctx.delay(ds::nanoseconds(i));
-      ++done;
-    });
+    eng.spawn(std::string("p").append(std::to_string(i)),
+              [&, i](ds::Context& ctx) {
+                ctx.delay(ds::nanoseconds(i));
+                ++done;
+              });
   }
   eng.run();
   EXPECT_EQ(done, kProcs);
