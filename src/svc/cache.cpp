@@ -2,14 +2,10 @@
 
 namespace deep::svc {
 
-std::optional<SessionResult> ResultCache::lookup(const std::string& key,
-                                                 bool count_miss) {
+std::optional<SessionResult> ResultCache::lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    if (count_miss) ++misses_;
-    return std::nullopt;
-  }
+  if (it == index_.end()) return std::nullopt;
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->result;

@@ -13,9 +13,10 @@
 // no reference escapes to race with an eviction.  Hit/miss/eviction
 // tallies are kept under the same mutex; the service materialises them
 // into its obs::Registry snapshot as svc.cache_hits / svc.cache_misses /
-// svc.cache_evictions, counting each job it serves as one hit or one miss
-// at most (a job that joins a run already in flight is neither) (obs::Counter cells are lane-local and unlocked, so
-// they cannot be bumped concurrently from arbitrary service threads).
+// svc.cache_evictions (obs::Counter cells are lane-local and unlocked, so
+// they cannot be bumped concurrently from arbitrary service threads).  A
+// lookup counts its hit; a miss is counted by the caller, which alone
+// knows whether the missed job runs, joins a run in flight or is shed.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,12 +37,10 @@ class ResultCache {
   /// misses) while still counting, so the bench's cold mode is honest.
   explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Returns a copy of the stored result and refreshes recency, or nullopt
-  /// on miss.  Counts a hit, and a miss unless `count_miss` is false: the
-  /// service may still shed a missed job, so it counts the miss itself with
-  /// count_miss() once the job is queued to run.
-  std::optional<SessionResult> lookup(const std::string& key,
-                                      bool count_miss = true);
+  /// Returns a copy of the stored result and refreshes recency, counting
+  /// a hit, or nullopt on miss.
+  std::optional<SessionResult> lookup(const std::string& key);
+  /// Counts one miss: a job that found no entry and runs.
   void count_miss();
 
   /// Stores (or refreshes) `result` under `key`, evicting the least

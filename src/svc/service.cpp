@@ -81,8 +81,7 @@ std::uint64_t Service::submit(const std::string& spec_text) {
       ++jobs_coalesced_;
       return id;
     }
-    if (std::optional<SessionResult> hit =
-            cache_.lookup(cache_key, /*count_miss=*/false)) {
+    if (std::optional<SessionResult> hit = cache_.lookup(cache_key)) {
       JobResult r;
       r.job_id = id;
       r.status = status_of(*hit);

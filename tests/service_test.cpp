@@ -279,6 +279,8 @@ TEST(ServiceCache, LruEvictsAndCounts) {
   EXPECT_TRUE(cache.lookup("a").has_value());  // refreshes a
   cache.insert("c", r);                        // evicts b (LRU)
   EXPECT_FALSE(cache.lookup("b").has_value());
+  EXPECT_EQ(cache.misses(), 0);  // the caller counts a miss that runs
+  cache.count_miss();
   EXPECT_TRUE(cache.lookup("a").has_value());
   EXPECT_TRUE(cache.lookup("c").has_value());
   EXPECT_EQ(cache.evictions(), 1);

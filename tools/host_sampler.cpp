@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -82,6 +83,9 @@ std::uintptr_t read_word(std::uintptr_t addr) {
 }
 
 void on_sigprof(int, siginfo_t*, void* raw) {
+  // read_word's syscall sets errno when it fails; the interrupted code may
+  // be about to read errno from a call of its own.
+  const int saved_errno = errno;
   const auto* uc = static_cast<const ucontext_t*>(raw);
   Sample s;
 #if defined(__x86_64__)
@@ -99,6 +103,7 @@ void on_sigprof(int, siginfo_t*, void* raw) {
 #endif
   const std::size_t slot = g_taken.fetch_add(1, std::memory_order_relaxed);
   if (slot < kMaxSamples) g_samples[slot] = s;
+  errno = saved_errno;
 }
 
 void set_timer(long interval_us) {
