@@ -20,7 +20,10 @@
 # recovery path, the daemon and the swapped fabrics are sanitised too.
 #
 # With the `tsan` preset it runs the suites that start worker threads —
-# sim, metrics, parallel and service — under ThreadSanitizer instead.
+# sim, metrics, parallel and service — under ThreadSanitizer instead.  The
+# host-kernel pool tests (tests/host_kernel_test.cpp) are built into
+# parallel_test, so both presets see kernels handed from fibers to pool
+# threads and back.
 #
 # ctest runs every gtest case in a process of its own, so it never sees
 # state that one test leaves for the next.  After the ctest pass, each test

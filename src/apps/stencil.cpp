@@ -163,16 +163,17 @@ StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
 
     // Real 5-point sweep on the interior; fixed left/right edges.  The
     // residual is read only after the last iteration and by a checkpoint,
-    // so only those sweeps compute it.
+    // so only those sweeps compute it.  The sweep runs while the rank burns
+    // its modelled time: nothing reads the grid before that time is over.
     const bool save = config.ckpt != nullptr && config.ckpt->interval() > 0 &&
                       (iter + 1) % config.ckpt->interval() == 0;
-    if (save || iter + 1 == config.iterations)
-      last_update = jacobi_sweep(grid, nx, rows, scratch);
-    else
-      sweep_in_place<false>(grid.data(), nx, rows, scratch.data());
-
-    // Burn the modelled sweep time on this rank's cores.
-    mpi.compute(hw::kernels::jacobi2d(nx, rows), mpi.node().spec().cores);
+    const bool residual = save || iter + 1 == config.iterations;
+    mpi.compute(hw::kernels::jacobi2d(nx, rows), mpi.node().spec().cores, [&] {
+      if (residual)
+        last_update = jacobi_sweep(grid, nx, rows, scratch);
+      else
+        sweep_in_place<false>(grid.data(), nx, rows, scratch.data());
+    });
 
     if (save) {
       std::vector<std::byte> state;

@@ -5,6 +5,13 @@
 // everywhere else.  compute() is the one call-site through which simulated
 // code burns time: it advances the calling process's virtual time by the
 // roofline model and books the energy.
+//
+// compute(ctx, cost, cores, kernel) also takes the rank's real arithmetic
+// for that cost.  The kernel may run on an idle host thread while the
+// engine runs other ranks through the modelled delay (sim/host_kernel.hpp);
+// it is joined before the call returns.  Only host time changes: the
+// delay, the energy, the trace span and every result are those of running
+// the kernel first and then calling compute(ctx, cost, cores).
 
 #include <memory>
 #include <string>
@@ -14,6 +21,7 @@
 #include "hw/nvm.hpp"
 #include "hw/spec.hpp"
 #include "sim/engine.hpp"
+#include "sim/host_kernel.hpp"
 #include "sim/trace.hpp"
 
 namespace deep::hw {
@@ -51,6 +59,17 @@ class Node {
       tracer->span(name_, "compute x" + std::to_string(cores), begin,
                    ctx.now(), "compute");
     }
+  }
+
+  /// Like compute(ctx, cost, cores), running `kernel` during the delay.
+  /// Nothing may read what the kernel writes before this call returns; an
+  /// exception it throws is rethrown here, after the delay.
+  template <class Kernel>
+  void compute(sim::Context& ctx, const KernelCost& cost, int cores,
+               Kernel&& kernel) {
+    sim::HostKernel host(ctx.engine(), kernel);
+    compute(ctx, cost, cores);
+    host.join();
   }
 
  private:

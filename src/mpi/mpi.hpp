@@ -64,6 +64,12 @@ class Mpi {
   void compute(const hw::KernelCost& cost, int cores = 1) {
     node_->compute(*ctx_, cost, cores);
   }
+  /// Burns the same time while `kernel`, the rank's real arithmetic for
+  /// `cost`, runs on an idle host thread (hw::Node::compute).
+  template <class Kernel>
+  void compute(const hw::KernelCost& cost, int cores, Kernel&& kernel) {
+    node_->compute(*ctx_, cost, cores, kernel);
+  }
 
   // -- point-to-point (byte level) ------------------------------------------
   RequestPtr isend_bytes(const Comm& comm, Rank dst, Tag tag,

@@ -68,6 +68,7 @@
 // direct calls into another partition's objects.  Process::wake() may only
 // be called from the process's own partition (or from outside a run).
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -368,6 +369,7 @@ class Engine {
  private:
   friend class Process;
   friend class Context;
+  friend class HostKernel;
 
   /// One partition: an independently sequenced event stream plus the
   /// scheduler-side fiber anchor for the thread executing it.  Partition 0
@@ -462,6 +464,9 @@ class Engine {
   bool wallclock_metrics_ = false;
   bool running_ = false;
   bool parallel_run_ = false;  // inside run_windowed (any worker count)
+  // Kernels started and not yet joined (sim/host_kernel.hpp); partitions
+  // on different workers start and join them concurrently.
+  std::atomic<int> host_backlog_{0};
   Tracer* tracer_ = nullptr;
   obs::Counter m_events_;          // sim.events
   obs::Counter m_fiber_switches_;  // sim.fiber_switches (process slices run)

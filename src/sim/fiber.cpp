@@ -1,5 +1,6 @@
 #include "sim/fiber.hpp"
 
+#include <pthread.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -100,7 +101,18 @@ std::size_t page_size() {
 // The free stacks of FiberStackPool.  Leaked on purpose: an engine
 // destroyed during static destruction can still return its stacks, and the
 // list stays reachable for leak checkers.
+struct FreeStacks;
+FreeStacks& free_stacks();
+
 struct FreeStacks {
+  // Held across fork(): a service may fork a job while another thread's
+  // engine takes or returns a stack, and the child must not inherit the
+  // lock held.
+  FreeStacks() {
+    pthread_atfork([] { free_stacks().mu.lock(); },
+                   [] { free_stacks().mu.unlock(); },
+                   [] { free_stacks().mu.unlock(); });
+  }
   std::mutex mu;
   std::vector<FiberStack> stacks;
 };

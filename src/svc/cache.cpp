@@ -2,10 +2,11 @@
 
 namespace deep::svc {
 
-std::optional<SessionResult> ResultCache::lookup(const std::string& key) {
+std::shared_ptr<const SessionResult> ResultCache::lookup(
+    const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
+  if (it == index_.end()) return nullptr;
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->result;
@@ -16,12 +17,13 @@ void ResultCache::count_miss() {
   ++misses_;
 }
 
-void ResultCache::insert(const std::string& key, const SessionResult& result) {
+void ResultCache::insert(const std::string& key,
+                         std::shared_ptr<const SessionResult> result) {
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return;
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->result = result;
+    it->second->result = std::move(result);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
@@ -30,7 +32,7 @@ void ResultCache::insert(const std::string& key, const SessionResult& result) {
     lru_.pop_back();
     ++evictions_;
   }
-  lru_.push_front(Entry{key, result});
+  lru_.push_front(Entry{key, std::move(result)});
   index_[key] = lru_.begin();
 }
 

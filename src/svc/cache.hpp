@@ -8,9 +8,11 @@
 // spec rendering (JobSpec::canonical_key): every field present, keys
 // sorted, so equivalent sparse/reordered requests hit the same entry.
 //
-// Bounded LRU with a single mutex: lookups copy the stored result out
-// under the lock (results are small — a report and a metrics snapshot), so
-// no reference escapes to race with an eviction.  Hit/miss/eviction
+// Bounded LRU with a single mutex.  Entries hold immutable results behind
+// shared pointers: a lookup hands out a pointer copy under the lock, which
+// keeps the result alive through a later eviction, and the caller copies
+// the result itself (about 200 KB on a paper-scale spmv job) outside any
+// lock, if at all.  Hit/miss/eviction
 // tallies are kept under the same mutex; the service materialises them
 // into its obs::Registry snapshot as svc.cache_hits / svc.cache_misses /
 // svc.cache_evictions (obs::Counter cells are lane-local and unlocked, so
@@ -21,8 +23,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -37,9 +39,9 @@ class ResultCache {
   /// misses) while still counting, so the bench's cold mode is honest.
   explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Returns a copy of the stored result and refreshes recency, counting
-  /// a hit, or nullopt on miss.
-  std::optional<SessionResult> lookup(const std::string& key);
+  /// Returns the stored result and refreshes recency, counting a hit, or
+  /// null on miss.
+  std::shared_ptr<const SessionResult> lookup(const std::string& key);
   /// Counts one miss: a job that found no entry and runs.
   void count_miss();
 
@@ -47,7 +49,8 @@ class ResultCache {
   /// recently used entry when full.  A failed simulation is cacheable too,
   /// its outcome is just as deterministic; the service never stores a host
   /// failure (fork, pipe, a killed child), which is not.
-  void insert(const std::string& key, const SessionResult& result);
+  void insert(const std::string& key,
+              std::shared_ptr<const SessionResult> result);
 
   std::size_t size() const;
   std::int64_t hits() const;
@@ -57,7 +60,7 @@ class ResultCache {
  private:
   struct Entry {
     std::string key;
-    SessionResult result;
+    std::shared_ptr<const SessionResult> result;
   };
 
   mutable std::mutex mu_;

@@ -81,14 +81,13 @@ std::uint64_t Service::submit(const std::string& spec_text) {
       ++jobs_coalesced_;
       return id;
     }
-    if (std::optional<SessionResult> hit = cache_.lookup(cache_key)) {
+    if (std::shared_ptr<const SessionResult> hit = cache_.lookup(cache_key)) {
       JobResult r;
       r.job_id = id;
       r.status = status_of(*hit);
       r.cache_hit = true;
       r.key = std::move(key);
-      r.session = std::move(*hit);
-      complete_locked(std::move(r));
+      complete_locked(std::move(r), std::move(hit));
       return id;
     }
   }
@@ -130,7 +129,11 @@ JobResult Service::wait(std::uint64_t job_id) {
     woken.wait(lock, [&] { return ticket.result.has_value(); });
   }
   JobResult r = std::move(*ticket.result);
+  const std::shared_ptr<const SessionResult> session =
+      std::move(ticket.session);
   tickets_.erase(job_id);
+  lock.unlock();
+  if (session != nullptr) r.session = *session;
   return r;
 }
 
@@ -144,7 +147,11 @@ void Service::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    JobResult r = execute(job);
+    std::shared_ptr<const SessionResult> session = execute(job);
+    JobResult r;
+    r.job_id = job.id;
+    r.status = status_of(*session);
+    r.key = job.key;
     std::lock_guard<std::mutex> lock(mu_);
     if (auto it = in_flight_.find(job.cache_key); it != in_flight_.end()) {
       // The jobs that joined this run get its result, host failure or not.
@@ -152,26 +159,23 @@ void Service::worker_loop() {
         JobResult copy = r;
         copy.job_id = follower;
         copy.cache_hit = true;
-        complete_locked(std::move(copy));
+        complete_locked(std::move(copy), session);
       }
       in_flight_.erase(it);
     }
-    complete_locked(std::move(r));
+    complete_locked(std::move(r), std::move(session));
   }
 }
 
-JobResult Service::execute(const PendingJob& job) {
-  JobResult r;
-  r.job_id = job.id;
-  r.key = job.key;
+std::shared_ptr<const SessionResult> Service::execute(const PendingJob& job) {
   // A failed simulation replays bit-identically, so it is cached like a
   // success; a host failure (fork, pipe, a killed child) is not replayed.
   bool host_failed = false;
-  r.session = cfg_.fork_per_job ? run_forked(job.spec, host_failed)
-                                : run_session(job.spec);
-  r.status = status_of(r.session);
-  if (!host_failed) cache_.insert(job.cache_key, r.session);
-  return r;
+  auto session = std::make_shared<const SessionResult>(
+      cfg_.fork_per_job ? run_forked(job.spec, host_failed)
+                        : run_session(job.spec));
+  if (!host_failed) cache_.insert(job.cache_key, session);
+  return session;
 }
 
 SessionResult Service::run_forked(const JobSpec& spec, bool& host_failed) {
@@ -228,7 +232,8 @@ SessionResult Service::run_forked(const JobSpec& spec, bool& host_failed) {
   return SessionResult::from_json(parsed.value);
 }
 
-void Service::complete_locked(JobResult result) {
+void Service::complete_locked(JobResult result,
+                              std::shared_ptr<const SessionResult> session) {
   if (result.status == "ok") {
     ++jobs_ok_;
   } else if (result.status == "failed") {
@@ -238,6 +243,7 @@ void Service::complete_locked(JobResult result) {
   }
   Ticket& ticket = tickets_.at(result.job_id);
   ticket.result = std::move(result);
+  ticket.session = std::move(session);
   // Notified under mu_: the condition variable lives in the waiting
   // wait() call and is gone as soon as that call returns.
   if (ticket.waiter != nullptr) ticket.waiter->notify_one();

@@ -26,6 +26,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -100,21 +101,26 @@ class Service {
     std::string key;        // its hash, JobResult::key
   };
 
-  /// A job issued and not yet collected.
+  /// A job issued and not yet collected.  Its session result is shared
+  /// with the cache and with every job that joined the same run; wait()
+  /// copies it into the JobResult outside the lock.
   struct Ticket {
-    std::optional<JobResult> result;            // set when the job completes
+    std::optional<JobResult> result;  // set, session left empty, when the
+                                      // job completes
+    std::shared_ptr<const SessionResult> session;  // null for a reject
     std::condition_variable* waiter = nullptr;  // the wait() blocked on it
   };
 
   void worker_loop();
   /// Simulates the job and caches its result unless the host failed it.
-  JobResult execute(const PendingJob& job);
+  std::shared_ptr<const SessionResult> execute(const PendingJob& job);
   /// Simulates `spec` in a forked child; sets `host_failed` when the host,
   /// not the simulation, ended the job (its result must not be cached).
   SessionResult run_forked(const JobSpec& spec, bool& host_failed);
-  /// Files `result` under its ticket and wakes that ticket's waiter, if
-  /// any.  Requires mu_.
-  void complete_locked(JobResult result);
+  /// Files `result` and its `session` under its ticket and wakes that
+  /// ticket's waiter, if any.  Requires mu_.
+  void complete_locked(JobResult result,
+                       std::shared_ptr<const SessionResult> session = nullptr);
   void reject_locked(std::uint64_t id, Reject reject);
 
   ServiceConfig cfg_;

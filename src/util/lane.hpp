@@ -22,6 +22,8 @@
 // whole system lifetime: construction, run and teardown all resolve pools
 // through the same shard.
 
+#include <pthread.h>
+
 #include <cstdint>
 #include <mutex>
 
@@ -98,7 +100,16 @@ class SessionGuard {
 };
 
 namespace detail {
+struct SessionSlots;
+inline SessionSlots& session_slots();
 struct SessionSlots {
+  // Held across fork(): a service may fork a job while another thread
+  // claims a slot, and the child must not inherit the lock held.
+  SessionSlots() {
+    pthread_atfork([] { session_slots().mu.lock(); },
+                   [] { session_slots().mu.unlock(); },
+                   [] { session_slots().mu.unlock(); });
+  }
   std::mutex mu;
   bool used[kMaxSessions] = {};
 };

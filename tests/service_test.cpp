@@ -272,17 +272,18 @@ TEST(ServiceCache, CanonicalKeyIgnoresSpellings) {
 
 TEST(ServiceCache, LruEvictsAndCounts) {
   dsv::ResultCache cache(2);
-  dsv::SessionResult r;
-  r.ok = true;
+  dsv::SessionResult ok;
+  ok.ok = true;
+  const auto r = std::make_shared<const dsv::SessionResult>(ok);
   cache.insert("a", r);
   cache.insert("b", r);
-  EXPECT_TRUE(cache.lookup("a").has_value());  // refreshes a
-  cache.insert("c", r);                        // evicts b (LRU)
-  EXPECT_FALSE(cache.lookup("b").has_value());
+  EXPECT_NE(cache.lookup("a"), nullptr);  // refreshes a
+  cache.insert("c", r);                   // evicts b (LRU)
+  EXPECT_EQ(cache.lookup("b"), nullptr);
   EXPECT_EQ(cache.misses(), 0);  // the caller counts a miss that runs
   cache.count_miss();
-  EXPECT_TRUE(cache.lookup("a").has_value());
-  EXPECT_TRUE(cache.lookup("c").has_value());
+  EXPECT_NE(cache.lookup("a"), nullptr);
+  EXPECT_NE(cache.lookup("c"), nullptr);
   EXPECT_EQ(cache.evictions(), 1);
   EXPECT_EQ(cache.hits(), 3);
   EXPECT_EQ(cache.misses(), 1);
